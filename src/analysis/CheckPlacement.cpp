@@ -303,20 +303,18 @@ private:
       History Back = passA(Loop->postBody(), std::move(Cont));
 
       History Refined;
-      auto KeepIf = [&Refined, &In, &Back](auto &&Facts, auto EntIn,
-                                           auto EntBack, auto Add) {
+      ConstraintSystem InCS = In.constraints();
+      ConstraintSystem BackCS = Back.constraints();
+      auto KeepIf = [&](auto &&Facts, auto Ent, auto Add) {
         for (const auto &Fact : Facts)
-          if ((In.*EntIn)(Fact) && (Back.*EntBack)(Fact))
+          if ((In.*Ent)(Fact, InCS) && (Back.*Ent)(Fact, BackCS))
             (Refined.*Add)(Fact);
       };
-      KeepIf(Candidates.Bools, &History::entailsBool, &History::entailsBool,
-             &History::addBool);
-      KeepIf(Candidates.Aliases, &History::entailsAlias,
-             &History::entailsAlias, &History::addAlias);
+      KeepIf(Candidates.Bools, &History::entailsBool, &History::addBool);
+      KeepIf(Candidates.Aliases, &History::entailsAlias, &History::addAlias);
       KeepIf(Candidates.Accesses, &History::entailsAccess,
-             &History::entailsAccess, &History::addAccess);
-      KeepIf(Candidates.Checks, &History::entailsCheck,
-             &History::entailsCheck, &History::addCheck);
+             &History::addAccess);
+      KeepIf(Candidates.Checks, &History::entailsCheck, &History::addCheck);
       if (sameFacts(Refined, Candidates))
         break;
       Candidates = std::move(Refined);

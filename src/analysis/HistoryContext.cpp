@@ -182,11 +182,10 @@ ConstraintSystem History::constraints() const {
   return CS;
 }
 
-bool History::entailsBool(const BoolFact &Fact) const {
+bool History::entailsBool(const BoolFact &Fact, ConstraintSystem &CS) const {
   for (const BoolFact &Existing : Bools)
     if (Existing == Fact)
       return true;
-  ConstraintSystem CS = constraints();
   switch (Fact.Op) {
   case RelOp::Eq:
     return CS.proveEq(Fact.L, Fact.R);
@@ -202,13 +201,14 @@ bool History::entailsBool(const BoolFact &Fact) const {
   return false;
 }
 
-bool History::entailsAlias(const AliasFact &Fact) const {
+bool History::entailsAlias(const AliasFact &Fact,
+                           const ConstraintSystem &Base) const {
   for (const AliasFact &Existing : Aliases)
     if (Existing == Fact)
       return true;
   // Query "x = y.f" holds iff x is congruent to a fresh variable aliased
   // to y.f under the existing facts.
-  ConstraintSystem CS = constraints();
+  ConstraintSystem CS = Base;
   const std::string Probe = "$probe";
   if (Fact.IsArray)
     CS.addArrayAlias(Probe, Fact.Base, Fact.Index);
@@ -217,9 +217,8 @@ bool History::entailsAlias(const AliasFact &Fact) const {
   return CS.equivVars(Fact.X, Probe);
 }
 
-bool History::entailsPathIn(const std::vector<Path> &Facts,
-                            const Path &P) const {
-  ConstraintSystem CS = constraints();
+bool History::entailsPathIn(const std::vector<Path> &Facts, const Path &P,
+                            ConstraintSystem &CS) {
   // Inconsistent facts mark dead code, which entails everything; this is
   // what lets the rotated-loop's infeasible else arm drop out of merges.
   if (CS.inconsistent())
@@ -309,30 +308,32 @@ bool History::entailsPathIn(const std::vector<Path> &Facts,
   return false;
 }
 
-bool History::entailsAccess(const Path &P) const {
-  return entailsPathIn(Accesses, P);
+bool History::entailsAccess(const Path &P, ConstraintSystem &CS) const {
+  return entailsPathIn(Accesses, P, CS);
 }
 
-bool History::entailsCheck(const Path &P) const {
-  return entailsPathIn(Checks, P);
+bool History::entailsCheck(const Path &P, ConstraintSystem &CS) const {
+  return entailsPathIn(Checks, P, CS);
 }
 
-bool History::entailsAnticipated(const Anticipated &A, const Path &P) const {
-  return entailsPathIn(A, P);
+bool History::entailsAnticipated(const Anticipated &A, const Path &P,
+                                 ConstraintSystem &CS) const {
+  return entailsPathIn(A, P, CS);
 }
 
 bool History::subsumedBy(const History &Stronger) const {
+  ConstraintSystem CS = Stronger.constraints();
   for (const BoolFact &Fact : Bools)
-    if (!Stronger.entailsBool(Fact))
+    if (!Stronger.entailsBool(Fact, CS))
       return false;
   for (const AliasFact &Fact : Aliases)
-    if (!Stronger.entailsAlias(Fact))
+    if (!Stronger.entailsAlias(Fact, CS))
       return false;
   for (const Path &P : Accesses)
-    if (!Stronger.entailsAccess(P))
+    if (!Stronger.entailsAccess(P, CS))
       return false;
   for (const Path &P : Checks)
-    if (!Stronger.entailsCheck(P))
+    if (!Stronger.entailsCheck(P, CS))
       return false;
   return true;
 }
@@ -415,32 +416,21 @@ void History::invalidateAliasesForArrayWrite() {
 
 History History::meet(const History &H1, const History &H2) {
   History Out;
-  auto Keep = [&H1, &H2, &Out](const auto &Facts, auto EntailedBy,
-                               auto Add) {
+  ConstraintSystem CS1 = H1.constraints();
+  ConstraintSystem CS2 = H2.constraints();
+  auto Keep = [&](const auto &Facts, auto EntailedBy, auto Add) {
     for (const auto &Fact : Facts)
-      if (EntailedBy(H1, Fact) && EntailedBy(H2, Fact))
+      if ((H1.*EntailedBy)(Fact, CS1) && (H2.*EntailedBy)(Fact, CS2))
         (Out.*Add)(Fact);
   };
-  auto BoolEnt = [](const History &H, const BoolFact &F) {
-    return H.entailsBool(F);
-  };
-  auto AliasEnt = [](const History &H, const AliasFact &F) {
-    return H.entailsAlias(F);
-  };
-  auto AccessEnt = [](const History &H, const Path &P) {
-    return H.entailsAccess(P);
-  };
-  auto CheckEnt = [](const History &H, const Path &P) {
-    return H.entailsCheck(P);
-  };
-  Keep(H1.Bools, BoolEnt, &History::addBool);
-  Keep(H2.Bools, BoolEnt, &History::addBool);
-  Keep(H1.Aliases, AliasEnt, &History::addAlias);
-  Keep(H2.Aliases, AliasEnt, &History::addAlias);
-  Keep(H1.Accesses, AccessEnt, &History::addAccess);
-  Keep(H2.Accesses, AccessEnt, &History::addAccess);
-  Keep(H1.Checks, CheckEnt, &History::addCheck);
-  Keep(H2.Checks, CheckEnt, &History::addCheck);
+  Keep(H1.Bools, &History::entailsBool, &History::addBool);
+  Keep(H2.Bools, &History::entailsBool, &History::addBool);
+  Keep(H1.Aliases, &History::entailsAlias, &History::addAlias);
+  Keep(H2.Aliases, &History::entailsAlias, &History::addAlias);
+  Keep(H1.Accesses, &History::entailsAccess, &History::addAccess);
+  Keep(H2.Accesses, &History::entailsAccess, &History::addAccess);
+  Keep(H1.Checks, &History::entailsCheck, &History::addCheck);
+  Keep(H2.Checks, &History::entailsCheck, &History::addCheck);
   return Out;
 }
 
@@ -543,19 +533,23 @@ Anticipated bigfoot::meetAnticipated(const History &H1, const Anticipated &A1,
                                      const History &H2,
                                      const Anticipated &A2) {
   Anticipated Out;
+  ConstraintSystem CS1 = H1.constraints();
+  ConstraintSystem CS2 = H2.constraints();
   for (const Path &P : A1)
-    if (H2.entailsAnticipated(A2, P))
+    if (H2.entailsAnticipated(A2, P, CS2))
       addAnticipated(Out, P);
   for (const Path &P : A2)
-    if (H1.entailsAnticipated(A1, P) && !H2.entailsAnticipated(Out, P))
+    if (H1.entailsAnticipated(A1, P, CS1) &&
+        !H2.entailsAnticipated(Out, P, CS2))
       addAnticipated(Out, P);
   return Out;
 }
 
 bool bigfoot::anticipatedSubsumedBy(const History &H, const Anticipated &A1,
                                     const Anticipated &A2) {
+  ConstraintSystem CS = H.constraints();
   for (const Path &P : A1)
-    if (!H.entailsAnticipated(A2, P))
+    if (!H.entailsAnticipated(A2, P, CS))
       return false;
   return true;
 }
@@ -591,12 +585,15 @@ std::vector<Path> checksImpl(const History &H, const History *Approx,
                      return A.Access == AccessKind::Write &&
                             B.Access == AccessKind::Read;
                    });
+  // Probe, Working and H share their boolean and alias facts, so one
+  // constraint system serves all three.
+  ConstraintSystem CS = H.constraints();
   for (const Path &P : Ordered) {
-    if (Approx && Probe.entailsAccess(P))
+    if (Approx && Probe.entailsAccess(P, CS))
       continue;
-    if (Working.entailsCheck(P))
+    if (Working.entailsCheck(P, CS))
       continue;
-    if (Working.entailsAnticipated(A, P))
+    if (Working.entailsAnticipated(A, P, CS))
       continue;
     Out.push_back(P);
     Working.addCheck(P);

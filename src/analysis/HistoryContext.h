@@ -97,15 +97,20 @@ public:
   /// Builds the constraint system of the boolean + alias facts.
   ConstraintSystem constraints() const;
 
-  bool entailsBool(const BoolFact &Fact) const;
+  /// Every query takes \p CS, the system built by constraints() of this
+  /// history, so that a batch of queries shares one build and its cached
+  /// verdicts.
+  bool entailsBool(const BoolFact &Fact, ConstraintSystem &CS) const;
   /// H ⊢ p✁. Array queries may be discharged by chaining several access
   /// facts whose ranges provably tile the queried range.
-  bool entailsAccess(const Path &P) const;
+  bool entailsAccess(const Path &P, ConstraintSystem &CS) const;
   /// H ⊢ p✓ (same chaining).
-  bool entailsCheck(const Path &P) const;
+  bool entailsCheck(const Path &P, ConstraintSystem &CS) const;
   /// H•A ⊢ p✸.
-  bool entailsAnticipated(const Anticipated &A, const Path &P) const;
-  bool entailsAlias(const AliasFact &Fact) const;
+  bool entailsAnticipated(const Anticipated &A, const Path &P,
+                          ConstraintSystem &CS) const;
+  /// Works on a copy of \p CS, to which it adds a probe alias.
+  bool entailsAlias(const AliasFact &Fact, const ConstraintSystem &CS) const;
 
   /// H1 ⊑ H2 : every fact of *this is entailed by \p Stronger.
   bool subsumedBy(const History &Stronger) const;
@@ -137,8 +142,10 @@ public:
   std::string str() const;
 
 private:
-  /// Shared machinery for access/check entailment with range chaining.
-  bool entailsPathIn(const std::vector<Path> &Facts, const Path &P) const;
+  /// Shared machinery for access/check entailment with range chaining,
+  /// under the history's constraint system \p CS.
+  static bool entailsPathIn(const std::vector<Path> &Facts, const Path &P,
+                            ConstraintSystem &CS);
 };
 
 /// The full context H • A.

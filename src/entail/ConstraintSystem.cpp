@@ -7,9 +7,10 @@
 #include "entail/ConstraintSystem.h"
 
 #include <algorithm>
-#include <set>
 #include <cassert>
+#include <chrono>
 #include <numeric>
+#include <set>
 
 using namespace bigfoot;
 
@@ -18,19 +19,59 @@ namespace {
 /// a query unprovable (sound) rather than slow.
 constexpr size_t MaxRows = 4096;
 constexpr int64_t MaxCoeff = int64_t(1) << 48;
+
+/// The innermost live EntailmentProfile of this thread, if any.
+thread_local EntailmentProfile *ActiveProfile = nullptr;
 } // namespace
+
+EntailmentProfile::EntailmentProfile() : Outer(ActiveProfile) {
+  ActiveProfile = this;
+}
+
+EntailmentProfile::~EntailmentProfile() { ActiveProfile = Outer; }
+
+class ConstraintSystem::QueryClock {
+public:
+  QueryClock() : Profile(ActiveProfile) {
+    if (Profile && Profile->Depth++ == 0)
+      Start = std::chrono::steady_clock::now();
+  }
+  ~QueryClock() {
+    if (!Profile || --Profile->Depth != 0)
+      return;
+    Profile->Seconds += std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - Start)
+                            .count();
+    ++Profile->Queries;
+  }
+  QueryClock(const QueryClock &) = delete;
+  QueryClock &operator=(const QueryClock &) = delete;
+
+private:
+  EntailmentProfile *Profile;
+  std::chrono::steady_clock::time_point Start;
+};
+
+void ConstraintSystem::invalidate() {
+  BaseRows.reset();
+  Inconsistent.reset();
+  LeVerdicts.clear();
+}
 
 void ConstraintSystem::addEquality(const AffineExpr &L, const AffineExpr &R) {
   Equalities.emplace_back(L, R);
   ClosureDirty = true;
+  invalidate();
 }
 
 void ConstraintSystem::addLe(const AffineExpr &L, const AffineExpr &R) {
   LeFacts.emplace_back(L, R);
+  invalidate();
 }
 
 void ConstraintSystem::addNe(const AffineExpr &L, const AffineExpr &R) {
   NeFacts.emplace_back(L, R);
+  invalidate();
 }
 
 void ConstraintSystem::addCongruence(const AffineExpr &E, int64_t M,
@@ -41,10 +82,12 @@ void ConstraintSystem::addCongruence(const AffineExpr &E, int64_t M,
   F.Mod = M;
   F.Rem = ((R % M) + M) % M;
   CongFacts.push_back(std::move(F));
+  invalidate();
 }
 
 bool ConstraintSystem::proveCongruent(const AffineExpr &E, int64_t M,
                                       int64_t R) {
+  QueryClock Clock;
   assert(M >= 1 && "modulus must be positive");
   if (M == 1)
     return true;
@@ -132,6 +175,7 @@ void ConstraintSystem::addFieldAlias(const std::string &X,
   A.Field = F;
   Aliases.push_back(std::move(A));
   ClosureDirty = true;
+  invalidate();
 }
 
 void ConstraintSystem::addArrayAlias(const std::string &X,
@@ -144,6 +188,7 @@ void ConstraintSystem::addArrayAlias(const std::string &X,
   A.Index = Index;
   Aliases.push_back(std::move(A));
   ClosureDirty = true;
+  invalidate();
 }
 
 std::string ConstraintSystem::find(const std::string &Name) {
@@ -248,7 +293,9 @@ ConstraintSystem::Row ConstraintSystem::rowFromLe(const AffineExpr &L,
   return Out;
 }
 
-std::vector<ConstraintSystem::Row> ConstraintSystem::baseRows() {
+const std::vector<ConstraintSystem::Row> &ConstraintSystem::baseRows() {
+  if (BaseRows)
+    return *BaseRows;
   std::vector<Row> Rows;
   for (const auto &[L, R] : Equalities) {
     AffineExpr CL = canonicalize(L), CR = canonicalize(R);
@@ -257,7 +304,8 @@ std::vector<ConstraintSystem::Row> ConstraintSystem::baseRows() {
   }
   for (const auto &[L, R] : LeFacts)
     Rows.push_back(rowFromLe(canonicalize(L), canonicalize(R)));
-  return Rows;
+  BaseRows = std::move(Rows);
+  return *BaseRows;
 }
 
 namespace {
@@ -381,9 +429,13 @@ bool ConstraintSystem::refute(std::vector<Row> Rows) {
 }
 
 bool ConstraintSystem::proveLe(const AffineExpr &L, const AffineExpr &R) {
+  QueryClock Clock;
   AffineExpr Diff = canonicalize(L) - canonicalize(R);
   if (auto C = Diff.constantValue())
     return *C <= 0;
+  auto Cached = LeVerdicts.find(Diff);
+  if (Cached != LeVerdicts.end())
+    return Cached->second;
   std::vector<Row> Rows = baseRows();
   // Negated goal: L - R >= 1, i.e. (R - L + 1) <= 0.
   Row Negated;
@@ -391,10 +443,13 @@ bool ConstraintSystem::proveLe(const AffineExpr &L, const AffineExpr &R) {
   Negated.Terms = Neg.terms();
   Negated.Constant = Neg.constantPart();
   Rows.push_back(std::move(Negated));
-  return refute(std::move(Rows));
+  bool Proven = refute(std::move(Rows));
+  LeVerdicts.emplace(std::move(Diff), Proven);
+  return Proven;
 }
 
 bool ConstraintSystem::proveEq(const AffineExpr &L, const AffineExpr &R) {
+  QueryClock Clock;
   AffineExpr Diff = canonicalize(L) - canonicalize(R);
   if (auto C = Diff.constantValue())
     return *C == 0;
@@ -402,6 +457,7 @@ bool ConstraintSystem::proveEq(const AffineExpr &L, const AffineExpr &R) {
 }
 
 bool ConstraintSystem::proveNe(const AffineExpr &L, const AffineExpr &R) {
+  QueryClock Clock;
   AffineExpr Diff = canonicalize(L) - canonicalize(R);
   if (auto C = Diff.constantValue())
     return *C != 0;
@@ -414,6 +470,7 @@ bool ConstraintSystem::proveNe(const AffineExpr &L, const AffineExpr &R) {
 }
 
 bool ConstraintSystem::equivVars(const std::string &X, const std::string &Y) {
+  QueryClock Clock;
   if (X == Y)
     return true;
   rebuildClosure();
@@ -424,6 +481,7 @@ bool ConstraintSystem::equivVars(const std::string &X, const std::string &Y) {
 
 bool ConstraintSystem::proveRangeSubset(const SymbolicRange &Sub,
                                         const SymbolicRange &Sup) {
+  QueryClock Clock;
   // A provably empty Sub is a subset of anything.
   if (proveLe(Sub.End, Sub.Begin))
     return true;
@@ -444,4 +502,9 @@ bool ConstraintSystem::proveRangeSubset(const SymbolicRange &Sub,
   return proveCongruent(Sub.Begin - Sup.Begin, Sup.Stride, 0);
 }
 
-bool ConstraintSystem::inconsistent() { return refute(baseRows()); }
+bool ConstraintSystem::inconsistent() {
+  QueryClock Clock;
+  if (!Inconsistent)
+    Inconsistent = refute(baseRows());
+  return *Inconsistent;
+}

@@ -26,14 +26,44 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace bigfoot {
 
+/// While alive, accumulates the wall time this thread spends inside
+/// ConstraintSystem queries (nested queries count once). This is how the
+/// share of StaticBF time spent in entailment — the paper's "time in Z3"
+/// datum (Section 6.1) — is measured. Profiles nest; the innermost one
+/// collects. With no profile alive, a query reads no clock.
+class EntailmentProfile {
+public:
+  EntailmentProfile();
+  ~EntailmentProfile();
+  EntailmentProfile(const EntailmentProfile &) = delete;
+  EntailmentProfile &operator=(const EntailmentProfile &) = delete;
+
+  double seconds() const { return Seconds; }
+  uint64_t queries() const { return Queries; }
+
+private:
+  friend class ConstraintSystem;
+  EntailmentProfile *Outer;
+  double Seconds = 0;
+  uint64_t Queries = 0;
+  unsigned Depth = 0;
+};
+
 /// A conjunction of facts plus queries against them. Build one, add the
 /// facts of a history context, then ask entailment questions. Queries are
 /// conservative: "false" means "not provable", never "disproved".
+///
+/// A system answers many queries from one build: it caches its canonical
+/// base rows, the inconsistent() verdict and every proveLe verdict (keyed
+/// by the canonical difference L - R). Each add* call drops all three, so
+/// a cached answer is always the one a fresh system with the same facts
+/// would give.
 class ConstraintSystem {
 public:
   /// Adds the fact L == R.
@@ -95,6 +125,9 @@ public:
   bool inconsistent();
 
 private:
+  /// Charges one top-level query to the active EntailmentProfile.
+  class QueryClock;
+
   struct Row {
     std::map<std::string, int64_t> Terms;
     int64_t Constant = 0; // Row means Terms + Constant <= 0.
@@ -121,6 +154,14 @@ private:
   };
   std::vector<AliasFact> Aliases;
 
+  /// Caches over the current facts; invalidate() drops them.
+  std::optional<std::vector<Row>> BaseRows;
+  std::optional<bool> Inconsistent;
+  std::map<AffineExpr, bool> LeVerdicts; ///< Canonical L - R -> proveLe.
+
+  /// Called by every add*: the facts changed, so no cache holds.
+  void invalidate();
+
   /// Union-find over variable / alias-term names, rebuilt lazily.
   std::map<std::string, std::string> Parent;
   bool ClosureDirty = true;
@@ -132,8 +173,9 @@ private:
   /// Rewrites every variable to its congruence representative.
   AffineExpr canonicalize(const AffineExpr &E);
 
-  /// Builds the base FM rows (facts only, canonicalized).
-  std::vector<Row> baseRows();
+  /// The base FM rows (facts only, canonicalized), built once per set of
+  /// facts.
+  const std::vector<Row> &baseRows();
 
   /// True if Rows (plus the negated goal row) are infeasible.
   static bool refute(std::vector<Row> Rows);

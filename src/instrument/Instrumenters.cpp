@@ -207,7 +207,8 @@ private:
         return Pth->Access == AccessKind::Read ? H.afterAcquire()
                                                : H.afterRelease();
       }
-      if (!H.entailsCheck(*Pth)) {
+      ConstraintSystem CS = H.constraints();
+      if (!H.entailsCheck(*Pth, CS)) {
         if (Insert) {
           Stmts.insert(Stmts.begin() + static_cast<ptrdiff_t>(I),
                        std::make_unique<CheckStmt>(

@@ -23,6 +23,9 @@
 #include "instrument/Instrumenters.h"
 #include "vm/Vm.h"
 
+#include <climits>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -42,7 +45,8 @@ options:
   --print         print the instrumented program and exit
   --contexts      print per-statement analysis contexts (H • A) and exit
   --seed=N        scheduler seed (default 1)
-  --quantum=N     max statements per scheduling quantum (default 24)
+  --quantum=N     max statements per scheduling quantum (default 24,
+                  at least 1)
   --commit-interval=N
                   commit deferred footprints every N statements (the
                   Section 3.3 extension; 0 = only at synchronization)
@@ -50,10 +54,11 @@ options:
                   batch ring (reports stay identical to sync mode; an
                   [async] line shows the vm/detector time split)
   --detect-shards=N
-                  fan detection out to N location-partitioned detector
-                  workers (implies the async pipeline, takes precedence
-                  over --async-detect; reports stay byte-identical for
-                  every N; a [shards] line shows the per-lane split).
+                  fan detection out to N (at most 64) location-
+                  partitioned detector workers (implies the async
+                  pipeline, takes precedence over --async-detect;
+                  reports stay byte-identical for every N; a [shards]
+                  line shows the per-lane split).
                   N may be "auto": derive the count from the machine's
                   core count (sharding stays off on one core). Also
                   accepted by trace record and trace replay.
@@ -86,12 +91,56 @@ trace subcommands (record once, re-analyze offline):
 
 std::string readFile(const char *Path);
 
-/// `--detect-shards=` value: a number, or "auto" for a machine-derived
-/// count (0 — sharding off — on a single core).
-size_t parseShardCount(const char *Value) {
-  if (std::strcmp(Value, "auto") == 0)
-    return autoShardCount();
-  return static_cast<size_t>(std::atoi(Value));
+/// Upper bound on `--detect-shards=`: each shard is a worker thread.
+constexpr uint64_t MaxDetectShards = 64;
+
+/// The value of numeric flag \p Arg (e.g. "--quantum=8"), which must be a
+/// decimal integer in [Min, Max] and nothing else. Anything else exits
+/// with an error instead of running with a garbage value.
+uint64_t parseNumericFlag(const char *Arg, uint64_t Min, uint64_t Max) {
+  const char *Value = std::strchr(Arg, '=') + 1;
+  uint64_t N = 0;
+  bool Ok = *Value != '\0';
+  for (const char *C = Value; Ok && *C; ++C) {
+    unsigned Digit = static_cast<unsigned>(*C - '0');
+    if (Digit > 9 || N > (UINT64_MAX - Digit) / 10)
+      Ok = false;
+    else
+      N = N * 10 + Digit;
+  }
+  if (!Ok || N < Min || N > Max) {
+    std::cerr << "bigfoot: error: " << std::string(Arg, Value - 1)
+              << " expects an integer in [" << Min << ", " << Max
+              << "], got '" << Value << "'\n";
+    std::exit(1);
+  }
+  return N;
+}
+
+/// Applies one of the scheduler and detection flags shared by direct runs
+/// and `trace record`/`replay`; false if \p Arg is not one of them.
+bool parseVmFlag(const char *Arg, VmOptions &VmOpts) {
+  if (std::strncmp(Arg, "--seed=", 7) == 0)
+    VmOpts.Seed = parseNumericFlag(Arg, 0, UINT64_MAX);
+  else if (std::strncmp(Arg, "--quantum=", 10) == 0)
+    VmOpts.Quantum =
+        static_cast<unsigned>(parseNumericFlag(Arg, 1, UINT_MAX));
+  else if (std::strncmp(Arg, "--commit-interval=", 18) == 0)
+    VmOpts.CommitIntervalSteps = parseNumericFlag(Arg, 0, UINT64_MAX);
+  else if (std::strcmp(Arg, "--async-detect") == 0)
+    VmOpts.AsyncDetect = true;
+  else if (std::strcmp(Arg, "--detect-shards=auto") == 0)
+    VmOpts.DetectShards = autoShardCount();
+  else if (std::strncmp(Arg, "--detect-shards=", 16) == 0)
+    VmOpts.DetectShards =
+        static_cast<size_t>(parseNumericFlag(Arg, 0, MaxDetectShards));
+  else if (std::strcmp(Arg, "--no-sync-table") == 0)
+    VmOpts.SyncTable = false;
+  else if (std::strcmp(Arg, "--no-check-filter") == 0)
+    VmOpts.CheckFilter = false;
+  else
+    return false;
+  return true;
 }
 
 /// The post-run report shared verbatim by execution and replay — the
@@ -263,20 +312,8 @@ int traceMain(int Argc, char **Argv) {
       Oracle = true;
     else if (std::strcmp(Arg, "--stats") == 0)
       DumpStats = true;
-    else if (std::strncmp(Arg, "--seed=", 7) == 0)
-      VmOpts.Seed = static_cast<uint64_t>(std::atoll(Arg + 7));
-    else if (std::strncmp(Arg, "--quantum=", 10) == 0)
-      VmOpts.Quantum = static_cast<unsigned>(std::atoi(Arg + 10));
-    else if (std::strncmp(Arg, "--commit-interval=", 18) == 0)
-      VmOpts.CommitIntervalSteps = static_cast<uint64_t>(std::atoll(Arg + 18));
-    else if (std::strcmp(Arg, "--async-detect") == 0)
-      VmOpts.AsyncDetect = true;
-    else if (std::strncmp(Arg, "--detect-shards=", 16) == 0)
-      VmOpts.DetectShards = parseShardCount(Arg + 16);
-    else if (std::strcmp(Arg, "--no-sync-table") == 0)
-      VmOpts.SyncTable = false;
-    else if (std::strcmp(Arg, "--no-check-filter") == 0)
-      VmOpts.CheckFilter = false;
+    else if (parseVmFlag(Arg, VmOpts))
+      continue;
     else if (Arg[0] == '-') {
       std::cerr << "bigfoot: error: unknown trace option '" << Arg << "'\n";
       return 1;
@@ -417,21 +454,8 @@ int main(int Argc, char **Argv) {
       Oracle = true;
     else if (std::strcmp(Arg, "--stats") == 0)
       DumpStats = true;
-    else if (std::strncmp(Arg, "--seed=", 7) == 0)
-      VmOpts.Seed = static_cast<uint64_t>(std::atoll(Arg + 7));
-    else if (std::strncmp(Arg, "--quantum=", 10) == 0)
-      VmOpts.Quantum = static_cast<unsigned>(std::atoi(Arg + 10));
-    else if (std::strncmp(Arg, "--commit-interval=", 18) == 0)
-      VmOpts.CommitIntervalSteps =
-          static_cast<uint64_t>(std::atoll(Arg + 18));
-    else if (std::strcmp(Arg, "--async-detect") == 0)
-      VmOpts.AsyncDetect = true;
-    else if (std::strncmp(Arg, "--detect-shards=", 16) == 0)
-      VmOpts.DetectShards = parseShardCount(Arg + 16);
-    else if (std::strcmp(Arg, "--no-sync-table") == 0)
-      VmOpts.SyncTable = false;
-    else if (std::strcmp(Arg, "--no-check-filter") == 0)
-      VmOpts.CheckFilter = false;
+    else if (parseVmFlag(Arg, VmOpts))
+      continue;
     else if (std::strcmp(Arg, "--help") == 0 || std::strcmp(Arg, "-h") == 0) {
       usage();
       return 0;
