@@ -8,12 +8,33 @@
 
 #include "bfj/Lexer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
 using namespace bigfoot;
 
 namespace {
+
+/// The deepest nesting the parser accepts, counted over recursive
+/// productions (statements, `if`s, expressions, unary operators) plus the
+/// depth of the expression tree under construction. Every later pass —
+/// placement, printing, compilation, evaluation, AST destruction —
+/// recurses over the tree, so bounding it here turns hostile input into a
+/// parse error instead of a stack overflow anywhere downstream.
+constexpr unsigned kMaxNestingDepth = 256;
+
+/// Holds one level of nesting for its lifetime.
+class NestingScope {
+public:
+  explicit NestingScope(unsigned &Depth) : Depth(Depth) { ++Depth; }
+  ~NestingScope() { --Depth; }
+  NestingScope(const NestingScope &) = delete;
+  NestingScope &operator=(const NestingScope &) = delete;
+
+private:
+  unsigned &Depth;
+};
 
 /// The recursive-descent parser. Errors are recorded once and abort the
 /// parse (all later productions early-exit).
@@ -47,6 +68,19 @@ private:
   std::vector<Token> Tokens;
   size_t Pos = 0;
   std::string ErrorMsg;
+  /// Recursive productions currently active.
+  unsigned Nesting = 0;
+  /// Tree depth of the expression the last expression production built.
+  unsigned ExprDepth = 0;
+
+  /// Records a parse error when \p Depth exceeds kMaxNestingDepth.
+  bool tooDeep(unsigned Depth) {
+    if (Depth <= kMaxNestingDepth)
+      return false;
+    error("nesting deeper than " + std::to_string(kMaxNestingDepth) +
+          " levels");
+    return true;
+  }
 
   bool failed() const { return !ErrorMsg.empty(); }
 
@@ -193,7 +227,8 @@ private:
   StmtPtr bail() { return std::make_unique<SkipStmt>(); }
 
   StmtPtr parseStmt() {
-    if (failed())
+    NestingScope Scope(Nesting);
+    if (failed() || tooDeep(Nesting))
       return bail();
     if (at(TokenKind::LBrace))
       return parseBracedBlock();
@@ -256,6 +291,10 @@ private:
   }
 
   StmtPtr parseIf() {
+    // Counted here too: an else-if chain recurses without parseStmt.
+    NestingScope Scope(Nesting);
+    if (tooDeep(Nesting))
+      return bail();
     expectKeyword("if");
     expect(TokenKind::LParen, "'('");
     auto Cond = parseExpr();
@@ -551,13 +590,32 @@ private:
   // Expressions (precedence climbing).
   //===--------------------------------------------------------------------===
 
-  std::unique_ptr<Expr> parseExpr() { return parseOr(); }
+  std::unique_ptr<Expr> parseExpr() {
+    NestingScope Scope(Nesting);
+    if (tooDeep(Nesting)) {
+      ExprDepth = 1;
+      return intLit(0);
+    }
+    return parseOr();
+  }
+
+  /// Builds `L Op R`, where \p LDepth is L's tree depth and ExprDepth
+  /// still holds R's. A left-deep operator chain never recurses in the
+  /// parser, so its depth is bounded here.
+  std::unique_ptr<Expr> join(BinaryOp Op, std::unique_ptr<Expr> L,
+                             unsigned LDepth, std::unique_ptr<Expr> R) {
+    ExprDepth = 1 + std::max(LDepth, ExprDepth);
+    tooDeep(Nesting + ExprDepth);
+    return binary(Op, std::move(L), std::move(R));
+  }
 
   std::unique_ptr<Expr> parseOr() {
     auto L = parseAnd();
     while (!failed() && at(TokenKind::OrOr)) {
       advance();
-      L = binary(BinaryOp::Or, std::move(L), parseAnd());
+      unsigned LDepth = ExprDepth;
+      auto R = parseAnd();
+      L = join(BinaryOp::Or, std::move(L), LDepth, std::move(R));
     }
     return L;
   }
@@ -566,7 +624,9 @@ private:
     auto L = parseCompare();
     while (!failed() && at(TokenKind::AndAnd)) {
       advance();
-      L = binary(BinaryOp::And, std::move(L), parseCompare());
+      unsigned LDepth = ExprDepth;
+      auto R = parseCompare();
+      L = join(BinaryOp::And, std::move(L), LDepth, std::move(R));
     }
     return L;
   }
@@ -590,7 +650,9 @@ private:
       else
         break;
       advance();
-      L = binary(Op, std::move(L), parseAdditive());
+      unsigned LDepth = ExprDepth;
+      auto R = parseAdditive();
+      L = join(Op, std::move(L), LDepth, std::move(R));
     }
     return L;
   }
@@ -606,7 +668,9 @@ private:
       else
         break;
       advance();
-      L = binary(Op, std::move(L), parseMultiplicative());
+      unsigned LDepth = ExprDepth;
+      auto R = parseMultiplicative();
+      L = join(Op, std::move(L), LDepth, std::move(R));
     }
     return L;
   }
@@ -624,24 +688,32 @@ private:
       else
         break;
       advance();
-      L = binary(Op, std::move(L), parseUnary());
+      unsigned LDepth = ExprDepth;
+      auto R = parseUnary();
+      L = join(Op, std::move(L), LDepth, std::move(R));
     }
     return L;
   }
 
   std::unique_ptr<Expr> parseUnary() {
-    if (at(TokenKind::Minus)) {
-      advance();
-      return unary(UnaryOp::Neg, parseUnary());
+    if (!at(TokenKind::Minus) && !at(TokenKind::Not))
+      return parsePrimary();
+    UnaryOp Op = at(TokenKind::Minus) ? UnaryOp::Neg : UnaryOp::Not;
+    advance();
+    NestingScope Scope(Nesting);
+    if (tooDeep(Nesting)) {
+      ExprDepth = 1;
+      return intLit(0);
     }
-    if (at(TokenKind::Not)) {
-      advance();
-      return unary(UnaryOp::Not, parseUnary());
-    }
-    return parsePrimary();
+    auto Operand = parseUnary();
+    ++ExprDepth;
+    tooDeep(Nesting + ExprDepth);
+    return unary(Op, std::move(Operand));
   }
 
   std::unique_ptr<Expr> parsePrimary() {
+    // Every leaf is one level deep; parentheses keep the inner depth.
+    ExprDepth = 1;
     if (at(TokenKind::Int))
       return intLit(advance().IntValue);
     if (atKeyword("true")) {

@@ -9,8 +9,10 @@
 /// and the VM's bytecode loop executes. Instructions are fixed-size and
 /// register-based: registers [0, NumSyms) alias the frame's locals (a
 /// local's register IS its interned SymId, so no renaming pass and no
-/// translation at call boundaries), and registers from NumSyms up are
-/// per-statement expression temporaries.
+/// translation at call boundaries), registers from NumSyms up are
+/// per-statement expression temporaries, and registers from
+/// Chunk::ConstBase up hold the chunk's integer literals, read-only, so a
+/// literal operand needs no load instruction.
 ///
 /// Scheduler-step accounting is encoded in the instructions themselves:
 /// an instruction with Insn::Step set ends the current scheduler step
@@ -44,7 +46,8 @@ inline constexpr uint32_t kNoReg = 0xFFFFFFFFu;
 
 enum class Opcode : uint8_t {
   // Free expression / control operators (never carry effects beyond
-  // registers; Step-flagged only when fused with an Assign target).
+  // registers; Step-flagged only when fused with an Assign target, a loop
+  // exit test, or a `skip` loop post-body).
   Nop,        ///< No effect. Step-flagged, it is a Skip statement.
   LoadInt,    ///< R[A] = Ints[B]
   LoadNull,   ///< R[A] = null
@@ -65,10 +68,10 @@ enum class Opcode : uint8_t {
   CmpNe,      ///< R[A] = !(R[B] equals R[C])
   Jmp,        ///< PC = A
   JmpIfFalse, ///< if (!truthy(R[A])) PC = B (short-circuit plumbing)
-  JmpIfTrue,  ///< if (truthy(R[A])) PC = B
+  JmpIfTrue,  ///< if (truthy(R[A])) PC = B (short-circuit, or loop exit)
 
   // Statement operators (each compiled occurrence is Step-flagged).
-  Br,           ///< if (!truthy(R[A])) PC = B — the If/Loop-exit test
+  Br,           ///< if (!truthy(R[A])) PC = B — the If/`!X` loop-exit test
   NewObject,    ///< R[A] = new Classes[B]
   NewArray,     ///< R[A] = new_array(R[B])
   NewBarrier,   ///< R[A] = new_barrier(R[B])
@@ -124,7 +127,11 @@ struct Chunk {
   /// Pre-rendered assertion-failure messages ("assertion failed: <cond>"),
   /// so the failure path never renders expression syntax at run time.
   std::vector<std::string> Msgs;
-  /// NumSyms locals plus this body's peak expression-temporary count.
+  /// First constant register: NumSyms locals plus this body's peak
+  /// expression-temporary count. Register ConstBase + I holds Ints[I] for
+  /// the frame's lifetime; no instruction writes one.
+  uint32_t ConstBase = 0;
+  /// ConstBase plus one constant register per Ints entry.
   uint32_t NumRegs = 0;
   /// The method this chunk compiles; null for thread bodies.
   const MethodDecl *Method = nullptr;

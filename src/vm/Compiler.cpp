@@ -11,11 +11,20 @@
 //     instructions followed by exactly one Step-flagged instruction;
 //   * an If compiles its condition free and spends its step on the Br,
 //     matching the walker's "evaluate condition + push branch" step;
-//   * a Loop spends a step on its exit-test Br each time around (taken or
-//     not), while loop entry, the back-edge, and the loop-exit Jmp are
-//     free — matching the walker's free block/phase bookkeeping;
+//   * a Loop spends a step on its exit test each time around (taken or
+//     not), while loop entry and the back edge are free — matching the
+//     walker's free block/phase bookkeeping. The exit test is one branch
+//     straight out of the loop: `Br X` for an exit condition `!X` (the
+//     shape every while/do-while desugars to), otherwise a Step-flagged
+//     JmpIfTrue;
+//   * a `skip` post-body (bare, or wrapped in blocks as instrumentation
+//     leaves it) costs the walker one step, so it fuses with the back edge
+//     into one Step-flagged Jmp;
 //   * expression temporaries reset per statement, so register pressure is
-//     each body's deepest expression, not its statement count.
+//     each body's deepest expression, not its statement count;
+//   * integer and boolean literal operands read read-only constant
+//     registers placed after the temporaries (Chunk::ConstBase), so a
+//     literal costs a LoadInt only when it is assigned.
 //
 // One deliberate micro-divergence from the walker: Call/Fork arguments are
 // flattened into registers before the Call instruction runs, so when a
@@ -50,7 +59,22 @@ public:
   void compileBody(const Stmt *Body) {
     compileStmt(Body);
     step(emit(Opcode::Return));
-    C.NumRegs = NumSyms + MaxTemps;
+    // Constant registers follow the temporaries, whose count is known only
+    // now: rebase every tagged operand onto them.
+    C.ConstBase = NumSyms + MaxTemps;
+    C.NumRegs = C.ConstBase + static_cast<uint32_t>(C.Ints.size());
+    auto Rebase = [&](uint32_t &Operand) {
+      if (Operand & kConstTag)
+        Operand = C.ConstBase + (Operand & ~kConstTag);
+    };
+    for (Insn &I : C.Code) {
+      Rebase(I.A);
+      Rebase(I.B);
+      Rebase(I.C);
+    }
+    for (CallOperand &Op : C.Calls)
+      for (uint32_t &Reg : Op.ArgRegs)
+        Rebase(Reg);
   }
 
 private:
@@ -61,6 +85,12 @@ private:
   uint32_t MaxTemps = 0;
   std::map<int64_t, uint32_t> IntIndex;
   std::map<const ClassDecl *, uint32_t> ClassIndex;
+
+  /// Marks a constant-register operand (an Ints index) until compileBody
+  /// rebases it past the temporaries. No other operand — register, jump
+  /// target, FieldId or pool index — comes near this bit, and kNoReg only
+  /// ever appears as a CallOperand::TargetReg, which is never rebased.
+  static constexpr uint32_t kConstTag = 0x80000000u;
 
   //===--- Emission helpers ---------------------------------------------------
 
@@ -114,14 +144,19 @@ private:
 
   //===--- Expressions --------------------------------------------------------
 
-  /// Register holding \p E's value: the local itself for variables,
-  /// otherwise a fresh temporary. Evaluation order (left to right, depth
-  /// first) matches the walker, so first-error reports agree.
+  /// Register holding \p E's value: the local itself for variables, a
+  /// constant register for integer and boolean literals, otherwise a fresh
+  /// temporary. Evaluation order (left to right, depth first) matches the
+  /// walker, so first-error reports agree.
   uint32_t exprVal(const Expr *E) {
     if (const auto *V = dyn_cast<VarRef>(E)) {
       assert(V->Sym != kNoSym && "program not interned before compile");
       return V->Sym;
     }
+    if (const auto *I = dyn_cast<IntLit>(E))
+      return kConstTag | intIdx(I->value());
+    if (const auto *B = dyn_cast<BoolLit>(E))
+      return kConstTag | intIdx(B->value() ? 1 : 0);
     uint32_t T = newTemp();
     exprInto(E, T);
     return T;
@@ -261,15 +296,27 @@ private:
       uint32_t Head = here();
       compileStmt(Loop->preBody());
       resetTemps();
-      uint32_t Exit = exprVal(Loop->exitCond());
-      size_t Post = emit(Opcode::Br, Exit); // !exit → post-body
-      step(Post);
-      size_t End = emit(Opcode::Jmp); // exit taken → leave the loop
-      patchTo(Post, here());
+      const Expr *Exit = Loop->exitCond();
+      size_t Leave;
+      const auto *Negated = dyn_cast<UnaryExpr>(Exit);
+      if (Negated && Negated->op() == UnaryOp::Not) {
+        // Exit on !X: Br leaves exactly when X is falsy.
+        Leave = emit(Opcode::Br, exprVal(Negated->operand()));
+      } else {
+        Leave = emit(Opcode::JmpIfTrue, exprVal(Exit));
+      }
+      step(Leave);
+      size_t PostStart = C.Code.size();
       compileStmt(Loop->postBody());
-      size_t Back = emit(Opcode::Jmp);
-      patchTo(Back, Head);
-      patchTo(End, here());
+      if (C.Code.size() == PostStart + 1 && C.Code.back().Op == Opcode::Nop) {
+        // A `skip` post-body, however deeply blocked: its step moves onto
+        // the back edge.
+        C.Code.back().Op = Opcode::Jmp;
+        C.Code.back().A = Head;
+      } else {
+        emit(Opcode::Jmp, Head);
+      }
+      patchTo(Leave, here());
       return;
     }
     case StmtKind::Skip:

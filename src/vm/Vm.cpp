@@ -21,6 +21,11 @@
 // same in both modes — the compiler encodes the walker's step accounting
 // in per-instruction Step flags (see Compiler.cpp).
 //
+// The bytecode loop runs a whole scheduling quantum per entry: its step
+// budget is the quantum clipped to the next commit-interval boundary and
+// to the step limit, so commits and the step-limit error land on exactly
+// the step the walker's per-step accounting puts them on.
+//
 //===----------------------------------------------------------------------===//
 
 #include "vm/Vm.h"
@@ -33,7 +38,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 using namespace bigfoot;
 
@@ -95,6 +99,20 @@ struct BarrierRec {
   std::vector<ThreadId> Arrived;
   uint64_t Generation = 0;
 };
+
+/// One heap-table entry: ObjectIds are handed out sequentially, so the
+/// table is indexed by id and each entry names its kind and its position
+/// in that kind's vector. Entry 0 (never an id) stays None.
+struct HeapSlot {
+  enum class Kind : uint8_t { None, Object, Array, Barrier };
+  Kind K = Kind::None;
+  uint32_t Index = 0;
+};
+
+/// Every allocation is charged against this cap on vm.heapBytes; one that
+/// would cross it is a run-time error rather than a host allocation
+/// failure.
+constexpr uint64_t kMaxHeapBytes = uint64_t(1) << 30;
 
 //===----------------------------------------------------------------------===
 // Threads and continuations.
@@ -221,6 +239,7 @@ public:
     // Deliver any partial batch before sampling detector state — also on
     // the error path, so detectors observe every event up to the fault.
     Ring.flush();
+    publishVmCounters();
     // Producer time stops here: everything after is the drain barrier and
     // result assembly, which sync mode pays inline as part of detection.
     Result.VmSeconds = VmClock.seconds();
@@ -308,21 +327,38 @@ private:
   SymId ThisSym = kNoSym;
   CompiledProgram CP;
 
-  std::unordered_map<ObjectId, HeapObject> Objects;
-  std::unordered_map<ObjectId, HeapArray> Arrays;
-  std::unordered_map<ObjectId, BarrierRec> Barriers;
-  ObjectId NextId = 1;
+  /// Indexed by ObjectId (see HeapSlot); the per-kind vectors hold the
+  /// records themselves.
+  std::vector<HeapSlot> Heap{HeapSlot()};
+  std::vector<HeapObject> Objects;
+  std::vector<HeapArray> Arrays;
+  std::vector<BarrierRec> Barriers;
   ObjectId GlobalObj = 0;
 
   std::vector<std::unique_ptr<ThreadCtx>> Threads;
   std::string Error;
   uint64_t Steps = 0;
 
-  HotCounter VmAccessesC{Result.Counters, "vm.accesses"};
-  HotCounter VmAccessesFieldC{Result.Counters, "vm.accesses.field"};
-  HotCounter VmAccessesArrayC{Result.Counters, "vm.accesses.array"};
-  HotCounter VmSyncOpsC{Result.Counters, "vm.syncOps"};
-  HotCounter VmHeapBytesC{Result.Counters, "vm.heapBytes"};
+  /// The vm.* counters, bumped inline and published once at the end of
+  /// the run (vm.accesses is their field + array sum).
+  uint64_t VmFieldAccesses = 0;
+  uint64_t VmArrayAccesses = 0;
+  uint64_t VmSyncOps = 0;
+  uint64_t VmHeapBytes = 0;
+
+  /// Counters that never fired stay out of the stats entirely, as a
+  /// string-keyed bump at the same call sites would have left them.
+  void publishVmCounters() {
+    auto Publish = [&](const char *Name, uint64_t Value) {
+      if (Value)
+        Result.Counters.bump(Name, Value);
+    };
+    Publish("vm.accesses", VmFieldAccesses + VmArrayAccesses);
+    Publish("vm.accesses.field", VmFieldAccesses);
+    Publish("vm.accesses.array", VmArrayAccesses);
+    Publish("vm.syncOps", VmSyncOps);
+    Publish("vm.heapBytes", VmHeapBytes);
+  }
 
   //===--- Event trace (tests only) --------------------------------------------
 
@@ -421,13 +457,14 @@ private:
     assert(Ch && "method has no compiled chunk");
     Frame F;
     F.Locals.resize(Ch->NumRegs);
+    for (size_t I = 0; I < Ch->Ints.size(); ++I)
+      F.Locals[Ch->ConstBase + I] = Value::intV(Ch->Ints[I]);
     F.Ch = Ch;
     return F;
   }
 
   void setup() {
-    GlobalObj = NextId++;
-    Objects.emplace(GlobalObj, HeapObject());
+    GlobalObj = allocate(HeapSlot::Kind::Object, Objects);
     for (size_t I = 0; I < Prog.Threads.size(); ++I) {
       auto T = std::make_unique<ThreadCtx>();
       T->Tid = static_cast<ThreadId>(Threads.size());
@@ -448,7 +485,6 @@ private:
   //===--- Scheduler -----------------------------------------------------------
 
   void schedule() {
-    const bool UseBc = Opts.UseBytecode;
     size_t Cursor = 0;
     while (Error.empty()) {
       bool AnyAlive = false;
@@ -461,25 +497,9 @@ private:
         AnyAlive = true;
         unsigned Quantum =
             1 + static_cast<unsigned>(R.nextBelow(Opts.Quantum));
-        for (unsigned I = 0; I < Quantum && Error.empty(); ++I) {
-          if (T.Finished)
-            break;
-          if ((UseBc ? stepBc(T) : step(T)) == StepResult::Blocked)
-            break;
+        if (Opts.UseBytecode ? runQuantumBc(T, Quantum)
+                             : runQuantumAst(T, Quantum))
           AnyProgress = true;
-          if (Opts.CommitIntervalSteps && EmitTool &&
-              ++T.StepCount % Opts.CommitIntervalSteps == 0) {
-            Event E;
-            E.Kind = EventKind::Commit;
-            E.Target = kTargetTool;
-            E.Tid = T.Tid;
-            Ring.emit(E);
-          }
-          if (++Steps > Opts.MaxSteps) {
-            setError("step budget exhausted (non-terminating program?)");
-            break;
-          }
-        }
       }
       if (!AnyAlive)
         break;
@@ -490,6 +510,76 @@ private:
       if (!Threads.empty())
         Cursor = (Cursor + 1) % Threads.size();
     }
+  }
+
+  void emitCommit(ThreadCtx &T) {
+    Event E;
+    E.Kind = EventKind::Commit;
+    E.Target = kTargetTool;
+    E.Tid = T.Tid;
+    Ring.emit(E);
+  }
+
+  void exhaustStepBudget() {
+    setError("step budget exhausted (non-terminating program?)");
+  }
+
+  /// Runs up to \p Quantum walker steps, one call per step, with the
+  /// commit-interval and step-limit accounting after each — the reference
+  /// the batched bytecode accounting must reproduce. True iff a step
+  /// retired.
+  bool runQuantumAst(ThreadCtx &T, unsigned Quantum) {
+    bool Progress = false;
+    for (unsigned I = 0; I < Quantum && Error.empty(); ++I) {
+      if (T.Finished)
+        break;
+      if (step(T) == StepResult::Blocked)
+        break;
+      Progress = true;
+      if (Opts.CommitIntervalSteps && EmitTool &&
+          ++T.StepCount % Opts.CommitIntervalSteps == 0)
+        emitCommit(T);
+      if (++Steps > Opts.MaxSteps) {
+        exhaustStepBudget();
+        break;
+      }
+    }
+    return Progress;
+  }
+
+  /// Runs up to \p Quantum bytecode steps in as few batches as the
+  /// accounting allows: each batch stops at the next commit-interval
+  /// boundary or at the step that crosses MaxSteps, so a batch's commit
+  /// or error fires after exactly the step the walker fires it after.
+  /// True iff a step retired.
+  bool runQuantumBc(ThreadCtx &T, unsigned Quantum) {
+    const uint64_t Interval = EmitTool ? Opts.CommitIntervalSteps : 0;
+    bool Progress = false;
+    uint64_t Left = Quantum;
+    while (Left && Error.empty() && !T.Finished) {
+      uint64_t Budget = Left;
+      if (Interval)
+        Budget = std::min(Budget, Interval - T.StepCount % Interval);
+      // Steps <= MaxSteps here, so this cannot wrap.
+      uint64_t ToLimit = Opts.MaxSteps - Steps;
+      if (ToLimit < Budget)
+        Budget = ToLimit + 1; // The step that crosses the limit runs.
+      bool Blocked = false;
+      uint64_t Done = runBc(T, Budget, Blocked);
+      if (Done) {
+        Progress = true;
+        Left -= Done;
+        if (Interval && (T.StepCount += Done) % Interval == 0)
+          emitCommit(T);
+        if ((Steps += Done) > Opts.MaxSteps) {
+          exhaustStepBudget();
+          break;
+        }
+      }
+      if (Blocked)
+        break;
+    }
+    return Progress;
   }
 
   //===--- AST-walker stepping -------------------------------------------------
@@ -687,20 +777,53 @@ private:
 
   //===--- Heap helpers ------------------------------------------------------------
 
+  /// Appends \p Rec to its kind's vector under the next ObjectId.
+  template <typename RecT>
+  ObjectId allocate(HeapSlot::Kind K, std::vector<RecT> &Recs,
+                    RecT Rec = RecT()) {
+    ObjectId Id = Heap.size();
+    Heap.push_back(HeapSlot{K, static_cast<uint32_t>(Recs.size())});
+    Recs.push_back(std::move(Rec));
+    return Id;
+  }
+
+  /// The record \p V refers to, or null unless \p V is a reference to a
+  /// \p K entry.
+  template <typename RecT>
+  RecT *deref(const Value &V, HeapSlot::Kind K, std::vector<RecT> &Recs) {
+    if (V.K != Value::Kind::Ref)
+      return nullptr;
+    auto Id = static_cast<ObjectId>(V.I);
+    if (Id >= Heap.size() || Heap[Id].K != K)
+      return nullptr;
+    return &Recs[Heap[Id].Index];
+  }
+
+  /// Charges \p Bytes to vm.heapBytes; false, with a run-time error, when
+  /// that would cross kMaxHeapBytes.
+  bool chargeHeap(uint64_t Bytes) {
+    if (Bytes > kMaxHeapBytes - VmHeapBytes) {
+      setError("heap limit exceeded: the VM heap is capped at 1 GiB");
+      return false;
+    }
+    VmHeapBytes += Bytes;
+    return true;
+  }
+
   HeapObject *objectOf(Frame &F, SymId Var, ObjectId *IdOut = nullptr) {
     const Value &V = local(F, Var);
     if (V.K != Value::Kind::Ref) {
       setError("'" + Syms->name(Var) + "' does not hold an object reference");
       return nullptr;
     }
-    auto It = Objects.find(static_cast<ObjectId>(V.I));
-    if (It == Objects.end()) {
+    HeapObject *Obj = deref(V, HeapSlot::Kind::Object, Objects);
+    if (!Obj) {
       setError("'" + Syms->name(Var) + "' is not an object");
       return nullptr;
     }
     if (IdOut)
       *IdOut = static_cast<ObjectId>(V.I);
-    return &It->second;
+    return Obj;
   }
 
   HeapArray *arrayOf(Frame &F, SymId Var, ObjectId *IdOut) {
@@ -709,14 +832,14 @@ private:
       setError("'" + Syms->name(Var) + "' does not hold an array reference");
       return nullptr;
     }
-    auto It = Arrays.find(static_cast<ObjectId>(V.I));
-    if (It == Arrays.end()) {
+    HeapArray *Arr = deref(V, HeapSlot::Kind::Array, Arrays);
+    if (!Arr) {
       setError("'" + Syms->name(Var) + "' is not an array");
       return nullptr;
     }
     if (IdOut)
       *IdOut = static_cast<ObjectId>(V.I);
-    return &It->second;
+    return Arr;
   }
 
   static Value fieldValue(const HeapObject &Obj, FieldId Field) {
@@ -736,11 +859,11 @@ private:
   // the AST walker and the bytecode loop cannot drift apart.
 
   void doNew(ThreadCtx &T, SymId Target, const ClassDecl *Cls) {
+    if (!chargeHeap(64))
+      return;
     HeapObject Obj;
     Obj.Cls = Cls;
-    ObjectId Id = NextId++;
-    Objects.emplace(Id, std::move(Obj));
-    VmHeapBytesC.bump(64);
+    ObjectId Id = allocate(HeapSlot::Kind::Object, Objects, std::move(Obj));
     local(T.Frames.back(), Target) = Value::refV(Id);
   }
 
@@ -749,12 +872,15 @@ private:
       setError("invalid array size");
       return;
     }
+    auto Len = static_cast<uint64_t>(Size.I);
+    // A length past the cap alone is refused before 32 + 16 * Len can wrap.
+    if (!chargeHeap(Len > kMaxHeapBytes / 16 ? kMaxHeapBytes + 1
+                                             : 32 + Len * 16))
+      return;
     HeapArray Arr;
-    Arr.Elems.assign(static_cast<size_t>(Size.I), Value::intV(0));
-    ObjectId Id = NextId++;
-    Arrays.emplace(Id, std::move(Arr));
-    VmHeapBytesC.bump(32 + static_cast<uint64_t>(Size.I) * 16);
-    emitSync(EventKind::ArrayAlloc, 0, Id, static_cast<uint64_t>(Size.I));
+    Arr.Elems.assign(static_cast<size_t>(Len), Value::intV(0));
+    ObjectId Id = allocate(HeapSlot::Kind::Array, Arrays, std::move(Arr));
+    emitSync(EventKind::ArrayAlloc, 0, Id, Len);
     local(T.Frames.back(), Target) = Value::refV(Id);
   }
 
@@ -765,8 +891,7 @@ private:
     }
     BarrierRec B;
     B.Parties = Parties.I;
-    ObjectId Id = NextId++;
-    Barriers.emplace(Id, std::move(B));
+    ObjectId Id = allocate(HeapSlot::Kind::Barrier, Barriers, std::move(B));
     local(T.Frames.back(), Target) = Value::refV(Id);
   }
 
@@ -778,12 +903,11 @@ private:
     if (!Obj)
       return;
     if (Volatile) {
-      VmSyncOpsC.bump();
+      ++VmSyncOps;
       traceSync(T.Tid, TraceEvent::Kind::Acquire);
       emitVolatile(EventKind::VolatileRead, T.Tid, Id, Field);
     } else {
-      VmAccessesC.bump();
-      VmAccessesFieldC.bump();
+      ++VmFieldAccesses;
       if (Opts.RecordEventTrace)
         traceLoc(T.Tid, TraceEvent::Kind::Access,
                  lockey::objField(Id, FieldName), AccessKind::Read);
@@ -801,12 +925,11 @@ private:
     if (!Obj)
       return;
     if (Volatile) {
-      VmSyncOpsC.bump();
+      ++VmSyncOps;
       traceSync(T.Tid, TraceEvent::Kind::Release);
       emitVolatile(EventKind::VolatileWrite, T.Tid, Id, Field);
     } else {
-      VmAccessesC.bump();
-      VmAccessesFieldC.bump();
+      ++VmFieldAccesses;
       if (Opts.RecordEventTrace)
         traceLoc(T.Tid, TraceEvent::Kind::Access,
                  lockey::objField(Id, FieldName), AccessKind::Write);
@@ -827,8 +950,7 @@ private:
       setError("array index out of bounds: " + Idx.str());
       return;
     }
-    VmAccessesC.bump();
-    VmAccessesArrayC.bump();
+    ++VmArrayAccesses;
     if (Opts.RecordEventTrace)
       traceLoc(T.Tid, TraceEvent::Kind::Access, lockey::arrayElem(Id, Idx.I),
                AccessKind::Read);
@@ -848,8 +970,7 @@ private:
       setError("array index out of bounds: " + Idx.str());
       return;
     }
-    VmAccessesC.bump();
-    VmAccessesArrayC.bump();
+    ++VmArrayAccesses;
     if (Opts.RecordEventTrace)
       traceLoc(T.Tid, TraceEvent::Kind::Access, lockey::arrayElem(Id, Idx.I),
                AccessKind::Write);
@@ -879,7 +1000,7 @@ private:
       return StepResult::Blocked;
     Obj->LockOwner = static_cast<int32_t>(T.Tid);
     Obj->LockDepth = 1;
-    VmSyncOpsC.bump();
+    ++VmSyncOps;
     traceSync(T.Tid, TraceEvent::Kind::Acquire);
     emitSync(EventKind::Acquire, T.Tid, Id);
     return StepResult::Progress;
@@ -897,7 +1018,7 @@ private:
     if (--Obj->LockDepth > 0)
       return;
     Obj->LockOwner = -1;
-    VmSyncOpsC.bump();
+    ++VmSyncOps;
     traceSync(T.Tid, TraceEvent::Kind::Release);
     emitSync(EventKind::Release, T.Tid, Id);
   }
@@ -912,29 +1033,27 @@ private:
     ThreadCtx &Joined = *Threads[static_cast<size_t>(H.I)];
     if (!Joined.Finished)
       return StepResult::Blocked;
-    VmSyncOpsC.bump();
+    ++VmSyncOps;
     traceSync(T.Tid, TraceEvent::Kind::Acquire);
     emitSync(EventKind::Join, T.Tid, 0, Joined.Tid);
     return StepResult::Progress;
   }
 
   StepResult doAwait(ThreadCtx &T, SymId Barrier) {
-    Value BV = local(T.Frames.back(), Barrier);
-    auto It = BV.K == Value::Kind::Ref
-                  ? Barriers.find(static_cast<ObjectId>(BV.I))
-                  : Barriers.end();
-    if (It == Barriers.end()) {
+    BarrierRec *Rec = deref(local(T.Frames.back(), Barrier),
+                            HeapSlot::Kind::Barrier, Barriers);
+    if (!Rec) {
       setError("await on a non-barrier");
       return StepResult::Progress;
     }
-    BarrierRec &B = It->second;
+    BarrierRec &B = *Rec;
     if (!T.InBarrier) {
       T.InBarrier = true;
       T.WaitGen = B.Generation;
       traceSync(T.Tid, TraceEvent::Kind::Release);
       B.Arrived.push_back(T.Tid);
       if (static_cast<int64_t>(B.Arrived.size()) == B.Parties) {
-        VmSyncOpsC.bump();
+        ++VmSyncOps;
         if (Ring.attached()) {
           Event E;
           E.Kind = EventKind::Barrier;
@@ -962,7 +1081,7 @@ private:
     Child->Frames.push_back(std::move(CF));
     ThreadId ChildTid = Child->Tid;
     Threads.push_back(std::move(Child));
-    VmSyncOpsC.bump();
+    ++VmSyncOps;
     traceSync(T.Tid, TraceEvent::Kind::Release);
     emitSync(EventKind::Fork, T.Tid, 0, ChildTid);
     if (TargetSym != kNoSym)
@@ -1177,205 +1296,219 @@ private:
     finishFork(T, std::move(CF), Op.TargetReg);
   }
 
-  /// One scheduler step over the compiled stream: free instructions run
-  /// until a Step-flagged instruction retires (every control-flow cycle
-  /// contains one — the loop exit test — so this cannot spin). Blocked
-  /// operations leave PC on themselves and retry; Call and Return exit
-  /// immediately because pushing or popping may move the frame vector.
-  StepResult stepBc(ThreadCtx &T) {
+  /// Runs scheduler steps over the compiled stream until \p Budget of
+  /// them retire, the thread blocks or finishes, or an error is raised;
+  /// returns the steps retired. Free instructions run until a
+  /// Step-flagged one retires a step (every control-flow cycle contains
+  /// one — the loop exit test — so this cannot spin). A blocked operation
+  /// leaves PC on itself, sets \p Blocked and retires nothing; Call and
+  /// Return reload the frame state because pushing or popping may move
+  /// the frame vector.
+  uint64_t runBc(ThreadCtx &T, uint64_t Budget, bool &Blocked) {
     if (T.Frames.empty()) {
       finishThread(T);
-      return StepResult::Progress;
+      return 1;
     }
-    Frame &F = T.Frames.back();
-    const Chunk &Ch = *F.Ch;
-    const Insn *Code = Ch.Code.data();
-    Value *Regs = F.Locals.data();
-    uint32_t PC = F.PC;
+    uint64_t Done = 0;
     for (;;) {
-      const Insn &I = Code[PC];
-      uint32_t Next = PC + 1;
-      switch (I.Op) {
-      case Opcode::Nop:
-        break;
-      case Opcode::LoadInt:
-        Regs[I.A] = Value::intV(Ch.Ints[I.B]);
-        break;
-      case Opcode::LoadNull:
-        Regs[I.A] = Value::nullV();
-        break;
-      case Opcode::Move:
-        Regs[I.A] = Regs[I.B];
-        break;
-      case Opcode::Neg: {
-        const Value &V = Regs[I.B];
-        if (V.K != Value::Kind::Int) {
-          setError("negation of a non-integer");
-          Regs[I.A] = Value::intV(0);
-        } else {
-          Regs[I.A] = Value::intV(-V.I);
-        }
-        break;
-      }
-      case Opcode::Not:
-        Regs[I.A] = Value::intV(Regs[I.B].truthy() ? 0 : 1);
-        break;
-      case Opcode::Boolify:
-        Regs[I.A] = Value::intV(Regs[I.B].truthy() ? 1 : 0);
-        break;
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::Div:
-      case Opcode::Mod:
-      case Opcode::Lt:
-      case Opcode::Le:
-      case Opcode::Gt:
-      case Opcode::Ge: {
-        const Value &L = Regs[I.B];
-        const Value &Rv = Regs[I.C];
-        if (L.K != Value::Kind::Int || Rv.K != Value::Kind::Int) {
-          setError("arithmetic on non-integers");
-          Regs[I.A] = Value::intV(0);
-          break;
-        }
-        int64_t A = L.I, B = Rv.I, Out = 0;
+      Frame &F = T.Frames.back();
+      const Chunk &Ch = *F.Ch;
+      const Insn *Code = Ch.Code.data();
+      Value *Regs = F.Locals.data();
+      uint32_t PC = F.PC;
+      for (;;) {
+        const Insn &I = Code[PC];
+        uint32_t Next = PC + 1;
         switch (I.Op) {
+        case Opcode::Nop:
+          break;
+        case Opcode::LoadInt:
+          Regs[I.A] = Value::intV(Ch.Ints[I.B]);
+          break;
+        case Opcode::LoadNull:
+          Regs[I.A] = Value::nullV();
+          break;
+        case Opcode::Move:
+          Regs[I.A] = Regs[I.B];
+          break;
+        case Opcode::Neg: {
+          const Value &V = Regs[I.B];
+          if (V.K != Value::Kind::Int) {
+            setError("negation of a non-integer");
+            Regs[I.A] = Value::intV(0);
+          } else {
+            Regs[I.A] = Value::intV(-V.I);
+          }
+          break;
+        }
+        case Opcode::Not:
+          Regs[I.A] = Value::intV(Regs[I.B].truthy() ? 0 : 1);
+          break;
+        case Opcode::Boolify:
+          Regs[I.A] = Value::intV(Regs[I.B].truthy() ? 1 : 0);
+          break;
         case Opcode::Add:
-          Out = A + B;
-          break;
         case Opcode::Sub:
-          Out = A - B;
-          break;
         case Opcode::Mul:
-          Out = A * B;
-          break;
         case Opcode::Div:
-          if (B == 0)
-            setError("division by zero");
-          else
-            Out = A / B;
-          break;
         case Opcode::Mod:
-          if (B == 0)
-            setError("modulo by zero");
-          else
-            Out = A % B;
-          break;
         case Opcode::Lt:
-          Out = A < B;
-          break;
         case Opcode::Le:
-          Out = A <= B;
-          break;
         case Opcode::Gt:
-          Out = A > B;
+        case Opcode::Ge: {
+          const Value &L = Regs[I.B];
+          const Value &Rv = Regs[I.C];
+          if (L.K != Value::Kind::Int || Rv.K != Value::Kind::Int) {
+            setError("arithmetic on non-integers");
+            Regs[I.A] = Value::intV(0);
+            break;
+          }
+          int64_t A = L.I, B = Rv.I, Out = 0;
+          switch (I.Op) {
+          case Opcode::Add:
+            Out = A + B;
+            break;
+          case Opcode::Sub:
+            Out = A - B;
+            break;
+          case Opcode::Mul:
+            Out = A * B;
+            break;
+          case Opcode::Div:
+            if (B == 0)
+              setError("division by zero");
+            else
+              Out = A / B;
+            break;
+          case Opcode::Mod:
+            if (B == 0)
+              setError("modulo by zero");
+            else
+              Out = A % B;
+            break;
+          case Opcode::Lt:
+            Out = A < B;
+            break;
+          case Opcode::Le:
+            Out = A <= B;
+            break;
+          case Opcode::Gt:
+            Out = A > B;
+            break;
+          case Opcode::Ge:
+            Out = A >= B;
+            break;
+          default:
+            break;
+          }
+          Regs[I.A] = Value::intV(Out);
           break;
-        case Opcode::Ge:
-          Out = A >= B;
+        }
+        case Opcode::CmpEq:
+          Regs[I.A] = Value::intV(Regs[I.B].equals(Regs[I.C]) ? 1 : 0);
           break;
-        default:
+        case Opcode::CmpNe:
+          Regs[I.A] = Value::intV(Regs[I.B].equals(Regs[I.C]) ? 0 : 1);
           break;
+        case Opcode::Jmp:
+          Next = I.A;
+          break;
+        case Opcode::JmpIfFalse:
+          if (!Regs[I.A].truthy())
+            Next = I.B;
+          break;
+        case Opcode::JmpIfTrue:
+          if (Regs[I.A].truthy())
+            Next = I.B;
+          break;
+        case Opcode::Br:
+          if (!Regs[I.A].truthy())
+            Next = I.B;
+          break;
+        case Opcode::NewObject:
+          doNew(T, I.A, Ch.Classes[I.B]);
+          break;
+        case Opcode::NewArray:
+          doNewArray(T, I.A, Regs[I.B]);
+          break;
+        case Opcode::NewBarrier:
+          doNewBarrier(T, I.A, Regs[I.B]);
+          break;
+        case Opcode::FieldRead:
+        case Opcode::FieldReadVol:
+          doFieldRead(T, I.A, I.B, I.C, I.Op == Opcode::FieldReadVol,
+                      Syms->name(I.C));
+          break;
+        case Opcode::FieldWrite:
+        case Opcode::FieldWriteVol:
+          doFieldWrite(T, I.A, I.C, Regs[I.B],
+                       I.Op == Opcode::FieldWriteVol, Syms->name(I.C));
+          break;
+        case Opcode::ArrayRead:
+          doArrayRead(T, I.A, I.B, Regs[I.C]);
+          break;
+        case Opcode::ArrayWrite:
+          doArrayWrite(T, I.A, Regs[I.B], Regs[I.C]);
+          break;
+        case Opcode::ArrayLen:
+          doArrayLen(T, I.A, I.B);
+          break;
+        case Opcode::Acquire:
+          if (doAcquire(T, I.A) == StepResult::Blocked) {
+            F.PC = PC;
+            Blocked = true;
+            return Done;
+          }
+          break;
+        case Opcode::Release:
+          doRelease(T, I.A);
+          break;
+        case Opcode::Call:
+          F.PC = Next;
+          pushCallBc(T, Ch.Calls[I.A]);
+          goto FrameChanged;
+        case Opcode::Fork:
+          doForkBc(T, Ch.Calls[I.A]);
+          break;
+        case Opcode::Join:
+          if (doJoin(T, I.A) == StepResult::Blocked) {
+            F.PC = PC;
+            Blocked = true;
+            return Done;
+          }
+          break;
+        case Opcode::Await:
+          if (doAwait(T, I.A) == StepResult::Blocked) {
+            F.PC = PC;
+            Blocked = true;
+            return Done;
+          }
+          break;
+        case Opcode::Check:
+          execCheck(T, Ch.Checks[I.A]);
+          break;
+        case Opcode::Print:
+          Result.Output.push_back(Regs[I.A].str());
+          break;
+        case Opcode::Assert:
+          if (!Regs[I.A].truthy())
+            setError(Ch.Msgs[I.B]);
+          break;
+        case Opcode::Return:
+          returnFromFrame(T);
+          goto FrameChanged;
         }
-        Regs[I.A] = Value::intV(Out);
-        break;
-      }
-      case Opcode::CmpEq:
-        Regs[I.A] = Value::intV(Regs[I.B].equals(Regs[I.C]) ? 1 : 0);
-        break;
-      case Opcode::CmpNe:
-        Regs[I.A] = Value::intV(Regs[I.B].equals(Regs[I.C]) ? 0 : 1);
-        break;
-      case Opcode::Jmp:
-        Next = I.A;
-        break;
-      case Opcode::JmpIfFalse:
-        if (!Regs[I.A].truthy())
-          Next = I.B;
-        break;
-      case Opcode::JmpIfTrue:
-        if (Regs[I.A].truthy())
-          Next = I.B;
-        break;
-      case Opcode::Br:
-        if (!Regs[I.A].truthy())
-          Next = I.B;
-        break;
-      case Opcode::NewObject:
-        doNew(T, I.A, Ch.Classes[I.B]);
-        break;
-      case Opcode::NewArray:
-        doNewArray(T, I.A, Regs[I.B]);
-        break;
-      case Opcode::NewBarrier:
-        doNewBarrier(T, I.A, Regs[I.B]);
-        break;
-      case Opcode::FieldRead:
-      case Opcode::FieldReadVol:
-        doFieldRead(T, I.A, I.B, I.C, I.Op == Opcode::FieldReadVol,
-                    Syms->name(I.C));
-        break;
-      case Opcode::FieldWrite:
-      case Opcode::FieldWriteVol:
-        doFieldWrite(T, I.A, I.C, Regs[I.B],
-                     I.Op == Opcode::FieldWriteVol, Syms->name(I.C));
-        break;
-      case Opcode::ArrayRead:
-        doArrayRead(T, I.A, I.B, Regs[I.C]);
-        break;
-      case Opcode::ArrayWrite:
-        doArrayWrite(T, I.A, Regs[I.B], Regs[I.C]);
-        break;
-      case Opcode::ArrayLen:
-        doArrayLen(T, I.A, I.B);
-        break;
-      case Opcode::Acquire:
-        if (doAcquire(T, I.A) == StepResult::Blocked) {
+        PC = Next;
+        if (I.Step && (++Done == Budget || !Error.empty())) {
           F.PC = PC;
-          return StepResult::Blocked;
+          return Done;
         }
-        break;
-      case Opcode::Release:
-        doRelease(T, I.A);
-        break;
-      case Opcode::Call:
-        F.PC = Next;
-        pushCallBc(T, Ch.Calls[I.A]);
-        return StepResult::Progress;
-      case Opcode::Fork:
-        doForkBc(T, Ch.Calls[I.A]);
-        break;
-      case Opcode::Join:
-        if (doJoin(T, I.A) == StepResult::Blocked) {
-          F.PC = PC;
-          return StepResult::Blocked;
-        }
-        break;
-      case Opcode::Await:
-        if (doAwait(T, I.A) == StepResult::Blocked) {
-          F.PC = PC;
-          return StepResult::Blocked;
-        }
-        break;
-      case Opcode::Check:
-        execCheck(T, Ch.Checks[I.A]);
-        break;
-      case Opcode::Print:
-        Result.Output.push_back(Regs[I.A].str());
-        break;
-      case Opcode::Assert:
-        if (!Regs[I.A].truthy())
-          setError(Ch.Msgs[I.B]);
-        break;
-      case Opcode::Return:
-        returnFromFrame(T);
-        return StepResult::Progress;
       }
-      PC = Next;
-      if (I.Step) {
-        F.PC = PC;
-        return StepResult::Progress;
-      }
+    FrameChanged:
+      // Call and Return retire a step each; the loop then resumes in
+      // whichever frame is now on top.
+      if (++Done == Budget || T.Finished || !Error.empty())
+        return Done;
     }
   }
 

@@ -107,6 +107,44 @@ TEST(ParserErrors, NeverCrashesOnRandomTokenSoup) {
   }
 }
 
+TEST(ParserErrors, ExcessNestingIsAParseError) {
+  // Each shape nests the AST 100k deep; every later pass recurses over
+  // the tree, so the parser must refuse it rather than build it.
+  auto Repeat = [](const std::string &S, int N) {
+    std::string Out;
+    for (int I = 0; I < N; ++I)
+      Out += S;
+    return Out;
+  };
+  const int N = 100000;
+  const std::string Shapes[] = {
+      "thread { x = " + Repeat("(", N) + "1" + Repeat(")", N) + "; }",
+      "thread { x = " + Repeat("-", N) + "1; }",
+      "thread { x = " + Repeat("!", N) + "1; }",
+      "thread { x = 1" + Repeat(" + 1", N) + "; }",
+      "thread { x = 1" + Repeat(" * 2 - 1", N) + "; }",
+      "thread { " + Repeat("{ ", N) + Repeat("} ", N) + "}",
+      "thread { x = 1; if (x > 0) { skip; }" +
+          Repeat(" else if (x > 0) { skip; }", N) + " }",
+      "thread { " + Repeat("loop { ", N) + Repeat("exit_if (true); } ", N) +
+          "}",
+  };
+  for (const std::string &Source : Shapes) {
+    ParseResult R = parseProgram(Source);
+    ASSERT_FALSE(R.ok()) << Source.substr(0, 40);
+    EXPECT_NE(R.Error.find("nesting deeper than"), std::string::npos)
+        << Source.substr(0, 40) << " -> " << R.Error;
+  }
+  // Ordinary depth still parses.
+  const int Ok = 100;
+  for (const std::string &Source : {
+           "thread { x = " + Repeat("(", Ok) + "1" + Repeat(")", Ok) + "; }",
+           "thread { x = 1" + Repeat(" + 1", Ok) + "; }",
+           "thread { " + Repeat("{ ", Ok) + Repeat("} ", Ok) + "}",
+       })
+    EXPECT_TRUE(parseProgram(Source).ok()) << Source.substr(0, 40);
+}
+
 TEST(ParserRoundTrip, SuiteStaysStableThroughThreePasses) {
   // print(parse(print(parse(x)))) must be a fixed point.
   const char *Source = R"(

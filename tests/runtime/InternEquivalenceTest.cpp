@@ -159,7 +159,50 @@ TEST(InternEquivalence, BehaviorMatchesStringKeyedGolden) {
 // full per-thread event trace (which pins down the interleaving itself,
 // not just its outcome). Same coverage grid as the golden test: every
 // workload and racy variant × six configs × three seeds.
+//
+// The bytecode loop runs a whole quantum per entry and cuts its batches
+// at commit-interval boundaries and at the step limit, while the walker
+// accounts step by step; the extra legs put those boundaries everywhere:
+// one-step and long quanta, a commit every 7 steps, and a step limit at
+// half the run (quanta average ~12 steps, so it falls inside one).
 //===----------------------------------------------------------------------===
+
+/// Runs \p IP in both modes under \p Opts and checks they agree; the
+/// bytecode run lands in \p BcOut.
+void expectModesAgree(const InstrumentedProgram &IP, VmOptions Opts,
+                      const std::string &Tag, VmResult &BcOut) {
+  Opts.RecordEventTrace = true;
+  Opts.EnableGroundTruth = true;
+  Opts.UseBytecode = false;
+  VmResult Ast = runProgram(*IP.Prog, IP.Tool, Opts);
+  Opts.UseBytecode = true;
+  VmResult Bc = runProgram(*IP.Prog, IP.Tool, Opts);
+
+  EXPECT_EQ(Ast.Ok, Bc.Ok) << Tag;
+  EXPECT_EQ(Ast.Error, Bc.Error) << Tag;
+  EXPECT_EQ(Ast.Output, Bc.Output) << Tag;
+  EXPECT_EQ(Ast.StatementsExecuted, Bc.StatementsExecuted) << Tag;
+  EXPECT_EQ(Ast.Counters.all(), Bc.Counters.all()) << Tag;
+  EXPECT_EQ(Ast.ToolRacyLocations, Bc.ToolRacyLocations) << Tag;
+  EXPECT_EQ(Ast.GroundTruthRacyLocations, Bc.GroundTruthRacyLocations)
+      << Tag;
+  ASSERT_EQ(Ast.ToolRaces.size(), Bc.ToolRaces.size()) << Tag;
+  for (size_t I = 0; I < Ast.ToolRaces.size(); ++I)
+    EXPECT_EQ(Ast.ToolRaces[I].str(), Bc.ToolRaces[I].str())
+        << Tag << " race " << I;
+  ASSERT_EQ(Ast.Trace.size(), Bc.Trace.size()) << Tag;
+  for (size_t I = 0; I < Ast.Trace.size(); ++I) {
+    const TraceEvent &A = Ast.Trace[I];
+    const TraceEvent &B = Bc.Trace[I];
+    ASSERT_TRUE(A.K == B.K && A.Tid == B.Tid && A.Access == B.Access &&
+                A.Loc == B.Loc)
+        << Tag << " trace event " << I << ": ast={kind="
+        << static_cast<int>(A.K) << " tid=" << A.Tid << " loc=" << A.Loc
+        << "} bc={kind=" << static_cast<int>(B.K) << " tid=" << B.Tid
+        << " loc=" << B.Loc << "}";
+  }
+  BcOut = std::move(Bc);
+}
 
 TEST(BytecodeEquivalence, MatchesAstWalkerEverywhere) {
   std::vector<Workload> Suite = standardSuite(SuiteScale::Test);
@@ -171,40 +214,37 @@ TEST(BytecodeEquivalence, MatchesAstWalkerEverywhere) {
     std::vector<InstrumentedProgram> Configs = allSixConfigs(*PR.Prog);
     for (const InstrumentedProgram &IP : Configs) {
       for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
-        VmOptions Opts;
-        Opts.Seed = Seed;
-        Opts.RecordEventTrace = true;
-        Opts.EnableGroundTruth = true;
-        Opts.UseBytecode = false;
-        VmResult Ast = runProgram(*IP.Prog, IP.Tool, Opts);
-        Opts.UseBytecode = true;
-        VmResult Bc = runProgram(*IP.Prog, IP.Tool, Opts);
-
         std::string Tag =
             W.Name + "/" + IP.Tool.Name + "/seed" + std::to_string(Seed);
-        EXPECT_EQ(Ast.Ok, Bc.Ok) << Tag;
-        EXPECT_EQ(Ast.Error, Bc.Error) << Tag;
-        EXPECT_EQ(Ast.Output, Bc.Output) << Tag;
-        EXPECT_EQ(Ast.StatementsExecuted, Bc.StatementsExecuted) << Tag;
-        EXPECT_EQ(Ast.Counters.all(), Bc.Counters.all()) << Tag;
-        EXPECT_EQ(Ast.ToolRacyLocations, Bc.ToolRacyLocations) << Tag;
-        EXPECT_EQ(Ast.GroundTruthRacyLocations, Bc.GroundTruthRacyLocations)
-            << Tag;
-        ASSERT_EQ(Ast.ToolRaces.size(), Bc.ToolRaces.size()) << Tag;
-        for (size_t I = 0; I < Ast.ToolRaces.size(); ++I)
-          EXPECT_EQ(Ast.ToolRaces[I].str(), Bc.ToolRaces[I].str())
-              << Tag << " race " << I;
-        ASSERT_EQ(Ast.Trace.size(), Bc.Trace.size()) << Tag;
-        for (size_t I = 0; I < Ast.Trace.size(); ++I) {
-          const TraceEvent &A = Ast.Trace[I];
-          const TraceEvent &B = Bc.Trace[I];
-          ASSERT_TRUE(A.K == B.K && A.Tid == B.Tid &&
-                      A.Access == B.Access && A.Loc == B.Loc)
-              << Tag << " trace event " << I << ": ast={kind="
-              << static_cast<int>(A.K) << " tid=" << A.Tid
-              << " loc=" << A.Loc << "} bc={kind=" << static_cast<int>(B.K)
-              << " tid=" << B.Tid << " loc=" << B.Loc << "}";
+        VmOptions Opts;
+        Opts.Seed = Seed;
+        VmResult Full;
+        expectModesAgree(IP, Opts, Tag, Full);
+        if (HasFatalFailure())
+          return;
+
+        VmResult Bc;
+        for (unsigned Quantum : {1u, 97u}) {
+          VmOptions Q = Opts;
+          Q.Quantum = Quantum;
+          expectModesAgree(IP, Q, Tag + "/quantum" + std::to_string(Quantum),
+                           Bc);
         }
+
+        VmOptions Commit = Opts;
+        Commit.CommitIntervalSteps = 7;
+        expectModesAgree(IP, Commit, Tag + "/commit7", Bc);
+
+        VmOptions Limited = Opts;
+        Limited.MaxSteps = Full.StatementsExecuted / 2;
+        expectModesAgree(
+            IP, Limited, Tag + "/maxsteps" + std::to_string(Limited.MaxSteps),
+            Bc);
+        if (HasFatalFailure())
+          return;
+        EXPECT_EQ(Bc.StatementsExecuted, Limited.MaxSteps + 1) << Tag;
+        EXPECT_NE(Bc.Error.find("step budget exhausted"), std::string::npos)
+            << Tag << ": " << Bc.Error;
       }
     }
   }

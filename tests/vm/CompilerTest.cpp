@@ -18,8 +18,12 @@
 #include "bfj/Parser.h"
 #include "instrument/Instrumenters.h"
 #include "vm/Vm.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
 
 using namespace bigfoot;
 
@@ -122,6 +126,252 @@ thread {
         << Text;
   // No instruction renders as unknown.
   EXPECT_EQ(Text.find(" ? "), std::string::npos) << Text;
+}
+
+//===--- Instruction shapes ---------------------------------------------------
+
+namespace {
+
+const Chunk &onlyThreadChunk(const CompiledProgram &CP) {
+  EXPECT_EQ(CP.ThreadChunks.size(), 1u);
+  return *CP.ThreadChunks[0];
+}
+
+size_t countOps(const Chunk &Ch, Opcode Op) {
+  return std::count_if(Ch.Code.begin(), Ch.Code.end(),
+                       [&](const Insn &I) { return I.Op == Op; });
+}
+
+/// The register an instruction writes, if any.
+std::optional<uint32_t> writtenReg(const Chunk &Ch, const Insn &I) {
+  switch (I.Op) {
+  case Opcode::Nop:
+  case Opcode::Jmp:
+  case Opcode::JmpIfFalse:
+  case Opcode::JmpIfTrue:
+  case Opcode::Br:
+  case Opcode::FieldWrite:
+  case Opcode::FieldWriteVol:
+  case Opcode::ArrayWrite:
+  case Opcode::Acquire:
+  case Opcode::Release:
+  case Opcode::Join:
+  case Opcode::Await:
+  case Opcode::Check:
+  case Opcode::Print:
+  case Opcode::Assert:
+  case Opcode::Return:
+    return std::nullopt;
+  case Opcode::Call:
+  case Opcode::Fork: {
+    uint32_t Target = Ch.Calls[I.A].TargetReg;
+    if (Target == kNoReg)
+      return std::nullopt;
+    return Target;
+  }
+  default:
+    return I.A;
+  }
+}
+
+} // namespace
+
+TEST(Compiler, LiteralOperandsReadConstantRegisters) {
+  auto Prog = parseProgramOrDie(R"(
+thread {
+  i = 0;
+  x = i + 5;
+  y = 7 < i;
+  print 9;
+}
+)");
+  CompiledProgram CP = compileProgram(*Prog);
+  const Chunk &Ch = onlyThreadChunk(CP);
+  // Only the assignment `i = 0` loads a literal.
+  EXPECT_EQ(countOps(Ch, Opcode::LoadInt), 1u) << disassemble(Ch);
+  ASSERT_EQ(Ch.NumRegs, Ch.ConstBase + Ch.Ints.size());
+  auto ConstReg = [&](int64_t V) {
+    auto It = std::find(Ch.Ints.begin(), Ch.Ints.end(), V);
+    EXPECT_NE(It, Ch.Ints.end()) << V;
+    return Ch.ConstBase + static_cast<uint32_t>(It - Ch.Ints.begin());
+  };
+  bool SawAdd = false, SawLt = false, SawPrint = false;
+  for (const Insn &I : Ch.Code) {
+    if (I.Op == Opcode::Add) {
+      SawAdd = true;
+      EXPECT_EQ(I.C, ConstReg(5));
+    } else if (I.Op == Opcode::Lt) {
+      SawLt = true;
+      EXPECT_EQ(I.B, ConstReg(7));
+    } else if (I.Op == Opcode::Print) {
+      SawPrint = true;
+      EXPECT_EQ(I.A, ConstReg(9));
+    }
+  }
+  EXPECT_TRUE(SawAdd && SawLt && SawPrint) << disassemble(Ch);
+
+  VmResult R = expectModesAgree(R"(
+class C {
+  method add(a, b) { r = a + b; return r; }
+}
+thread {
+  c = new C;
+  s = c.add(2, 40);
+  fork h = c.add(1, true);
+  join h;
+  print s;
+  print 3 * 4;
+}
+)");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, (std::vector<std::string>{"42", "12"}));
+}
+
+TEST(Compiler, WhileExitTestIsOneStepBranchOutOfTheLoop) {
+  auto Prog = parseProgramOrDie(R"(
+thread {
+  i = 0;
+  while (i < 3) {
+    i = i + 1;
+  }
+}
+)");
+  CompiledProgram CP = compileProgram(*Prog);
+  const Chunk &Ch = onlyThreadChunk(CP);
+  std::string Listing = disassemble(Ch);
+  // `while` desugars to `if (c) do { body } while (c)`: exit on !c.
+  EXPECT_EQ(countOps(Ch, Opcode::Not), 0u) << Listing;
+  // The back edge is the only backward jump; its predecessor is the exit
+  // test, which leaves the loop directly.
+  size_t Back = Ch.Code.size();
+  for (size_t I = 0; I < Ch.Code.size(); ++I)
+    if (Ch.Code[I].Op == Opcode::Jmp && Ch.Code[I].A <= I)
+      Back = I;
+  ASSERT_LT(Back, Ch.Code.size()) << Listing;
+  ASSERT_GT(Back, 0u) << Listing;
+  const Insn &Exit = Ch.Code[Back - 1];
+  EXPECT_EQ(Exit.Op, Opcode::Br) << Listing;
+  EXPECT_TRUE(Exit.Step) << Listing;
+  EXPECT_EQ(Exit.B, Back + 1) << Listing;
+  // Between the loop head and the exit test only the condition operator
+  // is free; every other instruction retires a statement.
+  uint32_t Head = Ch.Code[Back].A;
+  size_t Free = 0;
+  for (size_t I = Head; I < Back; ++I)
+    Free += !Ch.Code[I].Step;
+  EXPECT_EQ(Free, 1u) << Listing;
+}
+
+TEST(Compiler, NonNegatedExitTestIsStepFlaggedJmpIfTrue) {
+  auto Prog = parseProgramOrDie(R"(
+thread {
+  i = 0;
+  loop {
+    i = i + 1;
+    exit_if (i >= 3);
+    print i;
+  }
+}
+)");
+  CompiledProgram CP = compileProgram(*Prog);
+  const Chunk &Ch = onlyThreadChunk(CP);
+  std::string Listing = disassemble(Ch);
+  size_t Exits = 0;
+  for (size_t I = 0; I < Ch.Code.size(); ++I) {
+    const Insn &In = Ch.Code[I];
+    if (In.Op != Opcode::JmpIfTrue)
+      continue;
+    ++Exits;
+    EXPECT_TRUE(In.Step) << Listing;
+    // Leaves past the back edge, which stays free: the post-body is not
+    // a skip.
+    ASSERT_LT(In.B, Ch.Code.size()) << Listing;
+    const Insn &Back = Ch.Code[In.B - 1];
+    EXPECT_EQ(Back.Op, Opcode::Jmp) << Listing;
+    EXPECT_FALSE(Back.Step) << Listing;
+  }
+  EXPECT_EQ(Exits, 1u) << Listing;
+  EXPECT_EQ(countOps(Ch, Opcode::Not), 0u) << Listing;
+
+  VmResult R = expectModesAgree(R"(
+thread {
+  i = 0;
+  loop {
+    i = i + 1;
+    exit_if (i >= 3);
+    print i;
+  }
+  loop { exit_if (true); }
+}
+)");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, (std::vector<std::string>{"1", "2"}));
+}
+
+TEST(Compiler, SkipPostBodyFusesWithTheBackEdge) {
+  // A do-while's post-body is a bare skip; an explicit loop's is a block,
+  // and instrumentation leaves the do-while's wrapped in one too.
+  auto Prog = parseProgramOrDie(R"(
+class C {
+  method run(a) {
+    i = 0;
+    do {
+      a[i] = i;
+      i = i + 1;
+    } while (i < 3);
+    loop {
+      i = i - 1;
+      exit_if (i <= 0);
+      { skip; }
+    }
+  }
+}
+thread {
+  a = new_array(3);
+  c = new C;
+  c.run(a);
+}
+)");
+  InstrumentedProgram Checked = instrumentFastTrack(*Prog);
+  for (const Program *P : {Prog.get(), Checked.Prog.get()}) {
+    P->ensureInterned();
+    CompiledProgram CP = compileProgram(*P);
+    const Chunk &Ch = *CP.chunkFor(P->Classes[0]->findMethod("run"));
+    std::string Listing = disassemble(Ch);
+    EXPECT_EQ(countOps(Ch, Opcode::Nop), 0u) << Listing;
+    size_t BackEdges = 0;
+    for (size_t I = 0; I < Ch.Code.size(); ++I) {
+      const Insn &In = Ch.Code[I];
+      if (In.Op != Opcode::Jmp || In.A > I)
+        continue;
+      ++BackEdges;
+      EXPECT_TRUE(In.Step) << Listing;
+    }
+    EXPECT_EQ(BackEdges, 2u) << Listing;
+  }
+}
+
+TEST(Compiler, NoInstructionWritesAConstantRegister) {
+  std::vector<Workload> Suite = standardSuite(SuiteScale::Test);
+  for (Workload &W : racyVariants())
+    Suite.push_back(std::move(W));
+  for (const Workload &W : Suite) {
+    auto Prog = parseProgramOrDie(W.Source);
+    for (const InstrumentedProgram &IP :
+         {instrumentFastTrack(*Prog), instrumentBigFoot(*Prog)}) {
+      CompiledProgram CP = compileProgram(*IP.Prog);
+      for (const auto &Ch : CP.Chunks) {
+        ASSERT_EQ(Ch->NumRegs, Ch->ConstBase + Ch->Ints.size()) << W.Name;
+        for (size_t I = 0; I < Ch->Code.size(); ++I) {
+          if (std::optional<uint32_t> Reg = writtenReg(*Ch, Ch->Code[I])) {
+            EXPECT_LT(*Reg, Ch->ConstBase)
+                << W.Name << " instruction " << I << ":\n"
+                << disassemble(*Ch);
+          }
+        }
+      }
+    }
+  }
 }
 
 //===--- Execution-mode agreement on structural edge cases --------------------
@@ -294,6 +544,7 @@ TEST(Compiler, RuntimeErrorsMatchWalkerWording) {
            "thread { h = 99; join h; }",
            "thread { b = 1; await b; }",
            "thread { assert 1 == 2; }",
+           "thread { a = new_array(99999999999); }",
        }) {
     VmResult R = expectModesAgree(Source);
     EXPECT_FALSE(R.Ok) << Source;

@@ -300,6 +300,25 @@ thread {
   EXPECT_NE(R.Error.find("out of bounds"), std::string::npos);
 }
 
+TEST(Vm, OversizedAllocationIsRuntimeError) {
+  // Refused before any host allocation: just past the 1 GiB heap cap, far
+  // past it, and past the point where the byte count would wrap.
+  for (const char *Size : {"67108863", "99999999999", "4611686018427387904"}) {
+    std::string Source =
+        std::string("thread { a = new_array(") + Size + "); print 1; }";
+    for (bool UseBytecode : {true, false}) {
+      VmOptions Opts;
+      Opts.UseBytecode = UseBytecode;
+      VmResult R = runSource(Source.c_str(), Opts);
+      EXPECT_FALSE(R.Ok) << Size;
+      EXPECT_EQ(R.Error, "heap limit exceeded: the VM heap is capped at 1 GiB")
+          << Size;
+      EXPECT_TRUE(R.Output.empty()) << Size;
+      EXPECT_EQ(R.Counters.get("vm.heapBytes"), 0u) << Size;
+    }
+  }
+}
+
 TEST(Vm, AssertFailureIsRuntimeError) {
   VmResult R = runSource("thread { x = 1; assert x == 2; }");
   EXPECT_FALSE(R.Ok);
@@ -427,6 +446,12 @@ thread {
   VmResult R = runProgramBase(*Prog, Opts);
   EXPECT_FALSE(R.Ok);
   EXPECT_NE(R.Error.find("step budget"), std::string::npos) << R.Error;
+  // The step that crosses the limit runs, in both execution modes.
+  EXPECT_EQ(R.StatementsExecuted, Opts.MaxSteps + 1);
+  Opts.UseBytecode = false;
+  VmResult Walker = runProgramBase(*Prog, Opts);
+  EXPECT_EQ(Walker.Error, R.Error);
+  EXPECT_EQ(Walker.StatementsExecuted, R.StatementsExecuted);
 }
 
 TEST(Vm, JoinOnInvalidHandleIsError) {
