@@ -31,10 +31,6 @@ void applyEvent(RaceDetector &D, const Event &E, const uint32_t *Payload);
 /// may be null; events are routed by their target mask.
 class DetectorSink final : public EventSink {
 public:
-  DetectorSink() = default;
-  DetectorSink(RaceDetector *Tool, RaceDetector *Oracle)
-      : Tool(Tool), Oracle(Oracle) {}
-
   void bind(RaceDetector *T, RaceDetector *O) {
     Tool = T;
     Oracle = O;

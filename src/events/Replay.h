@@ -19,71 +19,31 @@
 #ifndef BIGFOOT_EVENTS_REPLAY_H
 #define BIGFOOT_EVENTS_REPLAY_H
 
-#include "events/ShardedSink.h"
+#include "events/DetectionBackend.h"
 #include "events/TraceCodec.h"
 
 #include <functional>
-#include <set>
 #include <string>
 #include <vector>
 
 namespace bigfoot {
 
-/// Everything a replay produces — the VmResult fields a recorded run can
-/// reconstruct (defined here rather than reusing VmResult so the events
-/// library stays independent of the VM).
-struct ReplayResult {
-  bool Ok = false;
-  std::string Error;
+/// Everything a replay produces: the DetectResult fields a recorded run
+/// can reconstruct (the events library stays independent of the VM, so
+/// this is not a VmResult). Counters hold the recorded vm.* values plus
+/// the replayed tool.* ones.
+struct ReplayResult : DetectResult {
   std::string Tool; ///< Name of the config the trace was replayed under.
-  std::vector<std::string> Output;
-  Stats Counters; ///< Recorded vm.* seeded in, replayed tool.* added.
-  std::vector<ReportedRace> ToolRaces;
-  std::set<std::string> ToolRacyLocations;
-  std::vector<ReportedRace> GroundTruthRaces;
-  std::set<std::string> GroundTruthRacyLocations;
-  uint64_t StatementsExecuted = 0;
   uint64_t EventsReplayed = 0;
-  /// Check-filter effectiveness for the replayed tool (zeros when off).
-  /// Beside Counters, never inside — on/off runs must match byte-wise.
-  bool FilterEnabled = false;
-  CheckFilterStats Filter;
-  uint64_t FilterTableBytes = 0;
-  /// Sharded replay only (ReplayOptions::DetectShards > 0); beside
-  /// Counters for the same byte-identity reason as the filter stats.
-  std::vector<ShardLaneStats> ShardLanes;
-  uint64_t ShardRoutedEvents = 0;
-  uint64_t ShardBroadcastEvents = 0;
-  uint64_t ShardBroadcastCopies = 0;
-  uint64_t ShardHorizonAdvances = 0;
-  uint64_t ShardTableReads = 0;
-  uint64_t ShardSyncPublishes = 0;
-  uint64_t ShardSyncTableBytes = 0;
-  uint64_t ShardOrderViolations = 0;
 };
 
-struct ReplayOptions {
+struct ReplayOptions : DetectOptions {
   /// Events per replay batch (1 = per-event reference dispatch).
   size_t Batch = kDefaultEventBatch;
   /// Also rebuild the per-access ground-truth oracle from the trace's
   /// oracle-targeted events (requires a trace recorded with the oracle
   /// attached; without those events the oracle simply sees nothing).
   bool EnableGroundTruth = false;
-  /// Epoch-stamped redundant-check elision (DESIGN.md Sec. 11). A trace
-  /// property it is not: the replayed detector applies this knob, not
-  /// whatever the recording run used.
-  bool CheckFilter = true;
-  /// Sharded parallel detection (DESIGN.md Sec. 12): replay the trace
-  /// through N location-partitioned detector workers. 0 = the classic
-  /// single-detector replay. Like the filter, a replay knob, never a
-  /// trace property; results are byte-identical for every shard count.
-  size_t DetectShards = 0;
-  /// Per-lane ring depth for sharded replay (clamped to >= 2).
-  size_t ShardRingBatches = kDefaultAsyncRingBatches;
-  /// Split-state sync clocks for sharded replay (DESIGN.md Sec. 13).
-  /// Like the filter and shard count, a replay knob, never a trace
-  /// property; results are byte-identical on or off.
-  bool SyncTable = true;
 };
 
 /// Replays \p Reader (already open()ed) into a fresh detector built from

@@ -14,22 +14,16 @@
 
 using namespace bigfoot;
 
-size_t bigfoot::autoShardCount() {
-  unsigned HW = std::thread::hardware_concurrency();
-  if (HW <= 1)
-    return 0; // Unknown or single core: sharding would only add overhead.
-  return std::min<size_t>(8, HW - 1); // Leave a core for the producer.
-}
-
 ShardedSink::ShardedSink(Options O)
-    : NumShards(O.Shards < 1 ? 1 : O.Shards) {
+    : NumShards(O.DetectShards < 1 ? 1 : O.DetectShards) {
   size_t RingBatches = std::max<size_t>(2, O.RingBatches);
+  O.Tool.CheckFilter = O.CheckFilter;
   if (O.SyncTable) {
     Table = std::make_unique<SyncClockTable>();
     // Direct array checks read HB state (first-touch clock init the
     // writer census must mirror); deferred adds do not.
     TouchArrayChecks = !O.Tool.DeferArrayChecks;
-    ToolFilterOn = O.Tool.CheckFilter;
+    ToolFilterOn = O.CheckFilter;
   }
   Shards.reserve(NumShards);
   for (size_t S = 0; S < NumShards; ++S) {
@@ -44,9 +38,11 @@ ShardedSink::ShardedSink(Options O)
     Shards.push_back(std::move(L));
   }
   if (O.Oracle) {
+    DetectorConfig OracleCfg = fastTrackConfig();
+    OracleCfg.CheckFilter = O.CheckFilter;
     Oracle = std::make_unique<Lane>(RingBatches);
     Oracle->Detector = std::make_unique<RaceDetector>(
-        O.OracleCfg, Oracle->Counters, O.Symbols);
+        OracleCfg, Oracle->Counters, O.Symbols);
     // No sample log: oracle counters are discarded, exactly as the sync
     // path discards the ground-truth detector's private Stats.
   }
@@ -299,9 +295,7 @@ void ShardedSink::laneLoop(Lane &L) {
   }
 }
 
-ShardedSink::Merged ShardedSink::finish() {
-  Merged M;
-
+void ShardedSink::finish(DetectResult &R) {
   // The run-end sample, in lockstep across shards (the producer appends
   // it after drain, so every lane has applied its whole stream). In
   // split-state mode the HB component is the writer's final census —
@@ -319,7 +313,7 @@ ShardedSink::Merged ShardedSink::finish() {
   // detector that never bumped them).
   for (auto &L : Shards)
     for (const auto &[Name, Value] : L->Counters.all())
-      M.Counters.bump(Name, Value);
+      R.Counters.bump(Name, Value);
 
   // Peak gauges: recombine sample k across shards — HB bytes are
   // replica-identical (max is defensive), shadow bytes and locations are
@@ -338,8 +332,8 @@ ShardedSink::Merged ShardedSink::finish() {
       Partial += S.PartialBytes;
       Locs += S.Locations;
     }
-    M.Counters.gaugeMax("tool.peakShadowBytes", Hb + Partial);
-    M.Counters.gaugeMax("tool.peakShadowLocations", Locs);
+    R.Counters.gaugeMax("tool.peakShadowBytes", Hb + Partial);
+    R.Counters.gaugeMax("tool.peakShadowLocations", Locs);
   }
 
   // Races: stable sort on the RaceOrder keys reproduces first-occurrence
@@ -365,10 +359,10 @@ ShardedSink::Merged ShardedSink::finish() {
     return A.Key.EntrySeq < B.Key.EntrySeq;
   });
   for (const Tagged &T : All)
-    M.Races.push_back(Shards[T.Lane]->Detector->races()[T.Idx]);
+    R.ToolRaces.push_back(Shards[T.Lane]->Detector->races()[T.Idx]);
   for (auto &L : Shards) {
     std::set<std::string> Keys = L->Detector->racyLocationKeys();
-    M.RacyLocations.insert(Keys.begin(), Keys.end());
+    R.ToolRacyLocations.insert(Keys.begin(), Keys.end());
   }
 
   // Filter effectiveness merge; lane accounting for the [shards] summary.
@@ -379,18 +373,18 @@ ShardedSink::Merged ShardedSink::finish() {
   // Table bytes are genuinely replicated per lane; the sum is the honest
   // metadata footprint of the sharded run.
   for (auto &L : Shards) {
-    M.FilterEnabled = M.FilterEnabled || L->Detector->filterEnabled();
+    R.FilterEnabled = R.FilterEnabled || L->Detector->filterEnabled();
     CheckFilterStats F = L->Detector->filterStats();
-    M.Filter.FieldHits += F.FieldHits;
-    M.Filter.FieldMisses += F.FieldMisses;
-    M.Filter.ArrayHits += F.ArrayHits;
-    M.Filter.ArrayMisses += F.ArrayMisses;
+    R.Filter.FieldHits += F.FieldHits;
+    R.Filter.FieldMisses += F.FieldMisses;
+    R.Filter.ArrayHits += F.ArrayHits;
+    R.Filter.ArrayMisses += F.ArrayMisses;
     // Split-state mode counts each release edge once, producer-side
     // (lanes tick generations without tallying); legacy mode takes one
     // lane's tally (every lane replayed every edge).
-    M.Filter.Invalidations = Table ? FilterInvalidations : F.Invalidations;
-    M.Filter.RangeExtends += F.RangeExtends;
-    M.FilterTableBytes += L->Detector->filterTableBytes();
+    R.Filter.Invalidations = Table ? FilterInvalidations : F.Invalidations;
+    R.Filter.RangeExtends += F.RangeExtends;
+    R.FilterTableBytes += L->Detector->filterTableBytes();
 
     ShardLaneStats LS;
     LS.Events = L->EventsApplied;
@@ -398,31 +392,42 @@ ShardedSink::Merged ShardedSink::finish() {
     LS.Batches = L->Ring.published();
     LS.Stalls = L->Ring.fullStalls();
     LS.BusyNs = L->BusyNs;
-    M.Lanes.push_back(LS);
-    M.Batches += LS.Batches;
-    M.Stalls += LS.Stalls;
-    M.HorizonAdvances += L->MarkersApplied;
-    M.TableReads += L->Detector->sharedSyncReads();
-    M.OrderViolations += L->OrderViolations;
-    M.DetectorSeconds = std::max(M.DetectorSeconds, LS.BusyNs * 1e-9);
+    R.ShardLanes.push_back(LS);
+    R.ShardHorizonAdvances += L->MarkersApplied;
+    R.ShardTableReads += L->Detector->sharedSyncReads();
+    R.ShardOrderViolations += L->OrderViolations;
   }
   if (Oracle) {
-    M.OracleRaces = Oracle->Detector->races();
-    M.OracleRacyLocations = Oracle->Detector->racyLocationKeys();
-    M.OracleLane.Events = Oracle->EventsApplied;
-    M.OracleLane.Batches = Oracle->Ring.published();
-    M.OracleLane.Stalls = Oracle->Ring.fullStalls();
-    M.OracleLane.BusyNs = Oracle->BusyNs;
-    M.Batches += M.OracleLane.Batches;
-    M.Stalls += M.OracleLane.Stalls;
-    M.OrderViolations += Oracle->OrderViolations;
+    R.GroundTruthRaces = Oracle->Detector->races();
+    R.GroundTruthRacyLocations = Oracle->Detector->racyLocationKeys();
+    R.ShardOrderViolations += Oracle->OrderViolations;
   }
-  M.RoutedEvents = RoutedEvents;
-  M.BroadcastEvents = BroadcastEvents;
-  M.BroadcastCopies = BroadcastCopies;
+  R.ShardRoutedEvents = RoutedEvents;
+  R.ShardBroadcastEvents = BroadcastEvents;
+  R.ShardBroadcastCopies = BroadcastCopies;
   if (Table) {
-    M.SyncPublishes = Table->publishes();
-    M.SyncTableBytes = Table->tableBytes();
+    R.ShardSyncPublishes = Table->publishes();
+    R.ShardSyncTableBytes = Table->tableBytes();
   }
-  return M;
+}
+
+double ShardedSink::detectorSeconds() const {
+  uint64_t BusyNs = 0;
+  for (const auto &L : Shards)
+    BusyNs = std::max(BusyNs, L->BusyNs);
+  return double(BusyNs) * 1e-9;
+}
+
+uint64_t ShardedSink::batchesConsumed() const {
+  uint64_t N = Oracle ? Oracle->Ring.published() : 0;
+  for (const auto &L : Shards)
+    N += L->Ring.published();
+  return N;
+}
+
+uint64_t ShardedSink::producerStalls() const {
+  uint64_t N = Oracle ? Oracle->Ring.fullStalls() : 0;
+  for (const auto &L : Shards)
+    N += L->Ring.fullStalls();
+  return N;
 }

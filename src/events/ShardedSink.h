@@ -55,6 +55,7 @@
 #ifndef BIGFOOT_EVENTS_SHARDEDSINK_H
 #define BIGFOOT_EVENTS_SHARDEDSINK_H
 
+#include "events/DetectionBackend.h"
 #include "events/EventSink.h"
 #include "events/SpscBatchRing.h"
 #include "runtime/Detector.h"
@@ -63,8 +64,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -111,82 +110,28 @@ struct ShardBatch {
   }
 };
 
-/// Post-drain statistics for one worker lane.
-struct ShardLaneStats {
-  uint64_t Events = 0;  ///< Events applied by this lane.
-  uint64_t Markers = 0; ///< Sync markers applied (split-state mode).
-  uint64_t Batches = 0; ///< Slots published to this lane's ring.
-  uint64_t Stalls = 0;  ///< Producer blocked on this lane's full ring.
-  uint64_t BusyNs = 0;  ///< Lane thread busy time (waits excluded).
-};
-
-/// Shard count for `--detect-shards=auto`: derived from
-/// hardware_concurrency() with one core reserved for the producer,
-/// clamped to 8 lanes. On a single-core box (or when concurrency is
-/// unknown) sharding stays off entirely — returns 0.
-size_t autoShardCount();
-
 /// EventSink that fans the stream out to per-shard detector workers.
 /// consumeBatch() and drain() must be called from one producer thread;
 /// each shard's detector is touched only by its worker thread until
 /// drain() returns, after which finish() may merge from the producer.
 class ShardedSink final : public EventSink {
 public:
-  struct Options {
-    /// Worker count; clamped to >= 1.
-    size_t Shards = 2;
+  /// The detection knobs: DetectShards is the worker count (clamped to
+  /// >= 1), SyncTable selects split-state mode (DESIGN.md Sec. 13) over
+  /// the legacy broadcast fan-out, and CheckFilter applies to every
+  /// replica and the oracle.
+  struct Options : DetectOptions {
     /// Per-lane ring depth in batches (clamped to >= 2).
     size_t RingBatches = kDefaultAsyncRingBatches;
-    /// Config every shard replica runs (CheckFilter already resolved).
+    /// Config every shard replica runs (its CheckFilter is replaced by
+    /// the knob).
     DetectorConfig Tool;
     /// Seeds each replica's field-id namespace (may be null).
     const SymbolTable *Symbols = nullptr;
-    /// Attach the per-access ground-truth oracle on its own dedicated
-    /// lane. The oracle is never sharded: it receives every
+    /// Attach the per-access ground-truth FastTrack oracle on its own
+    /// dedicated lane. The oracle is never sharded: it receives every
     /// oracle-targeted event in stream order.
     bool Oracle = false;
-    DetectorConfig OracleCfg;
-    /// Split-state mode (DESIGN.md Sec. 13): apply sync edges once to a
-    /// shared SyncClockTable and stage markers instead of broadcasting
-    /// event copies. Off replays every sync edge per lane (PR 9
-    /// behavior) — kept for the before/after amplification bench.
-    bool SyncTable = true;
-  };
-
-  /// Everything the shards produce, merged back into single-run shape.
-  struct Merged {
-    /// Summed tool.* counters plus the reconstructed peak gauges —
-    /// byte-identical to a single detector's Stats.
-    Stats Counters;
-    std::vector<ReportedRace> Races;
-    std::set<std::string> RacyLocations;
-    bool FilterEnabled = false;
-    CheckFilterStats Filter; ///< Summed across shards.
-    uint64_t FilterTableBytes = 0;
-    std::vector<ReportedRace> OracleRaces;
-    std::set<std::string> OracleRacyLocations;
-    /// Busy seconds of the busiest lane — the detection critical path.
-    double DetectorSeconds = 0;
-    uint64_t Batches = 0; ///< Slots published, all lanes.
-    uint64_t Stalls = 0;  ///< Producer backpressure stalls, all lanes.
-    /// Fan-out accounting: routed events are delivered once, broadcast
-    /// events once per shard. Amplification = deliveries / events.
-    uint64_t RoutedEvents = 0;
-    uint64_t BroadcastEvents = 0;
-    uint64_t BroadcastCopies = 0;
-    /// Split-state counters (zero in legacy broadcast mode): horizon
-    /// stamps applied across lanes (BroadcastEvents × shards — markers,
-    /// not event copies), published-table resolutions on check paths,
-    /// snapshots published, and the table's storage footprint.
-    uint64_t HorizonAdvances = 0;
-    uint64_t TableReads = 0;
-    uint64_t SyncPublishes = 0;
-    uint64_t SyncTableBytes = 0;
-    /// Sync-horizon check failures across all lanes (must be zero).
-    uint64_t OrderViolations = 0;
-    /// Per-shard lanes, in shard order (oracle lane excluded).
-    std::vector<ShardLaneStats> Lanes;
-    ShardLaneStats OracleLane;
   };
 
   /// Spawns the worker threads (one per shard, plus the oracle lane).
@@ -209,9 +154,22 @@ public:
   /// Blocks until every published slot on every lane has been applied.
   void drain();
 
-  /// Merges shard results; call once, after drain(), from the producer
-  /// thread. Workers are idle by then, so replica state is safe to read.
-  Merged finish();
+  /// Merges the shards into \p R in single-detector shape: summed tool.*
+  /// counters plus the reconstructed peak gauges bumped into R.Counters
+  /// (byte-identical to one detector's Stats), tool and oracle races, and
+  /// the filter and shard stats. Call once, after drain(), from the
+  /// producer thread; workers are idle by then, so replica state is safe
+  /// to read.
+  void finish(DetectResult &R);
+
+  /// Busy seconds of the busiest shard lane — the detection critical
+  /// path. Valid after drain().
+  double detectorSeconds() const;
+
+  /// Slots published and producer backpressure stalls, summed over every
+  /// lane including the oracle's. Valid after drain().
+  uint64_t batchesConsumed() const;
+  uint64_t producerStalls() const;
 
 private:
   /// One worker lane: a detector replica behind its own SPSC ring.

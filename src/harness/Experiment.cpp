@@ -27,11 +27,8 @@
 //
 //   2. Wall-clock timing (BaseSeconds, per-tool Seconds/OverheadX) runs
 //      afterwards, serially, best-of-N on the quiesced pool, exactly as
-//      the serial driver always did. Replay mode additionally times a
-//      best-of-N replay per tool (ToolMetrics::DetectorSeconds): with
-//      execution factored out entirely, that is the pure detector cost.
-//      Iterations == 0 skips this phase for counter-only consumers (e.g.
-//      the memory and check-ratio tables).
+//      the serial driver always did. Iterations == 0 skips this phase for
+//      counter-only consumers (e.g. the memory and check-ratio tables).
 //
 // Both phases are deterministic given the seed, so phase 1's counters are
 // the counters a timed run would have produced.
@@ -44,11 +41,13 @@
 #include "events/Replay.h"
 #include "events/TraceCodec.h"
 #include "instrument/Instrumenters.h"
+#include "support/Flags.h"
 #include "support/Timer.h"
 #include "vm/Vm.h"
 
 #include <array>
 #include <atomic>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -111,9 +110,7 @@ VmOptions vmOptionsFor(const ExperimentOptions &Opts) {
   VmOpts.Seed = Opts.Seed;
   VmOpts.UseBytecode = Opts.UseBytecode;
   VmOpts.AsyncDetect = Opts.AsyncDetect;
-  VmOpts.CheckFilter = Opts.CheckFilter;
-  VmOpts.DetectShards = Opts.DetectShards;
-  VmOpts.SyncTable = Opts.SyncTable;
+  static_cast<DetectOptions &>(VmOpts) = Opts;
   return VmOpts;
 }
 
@@ -185,10 +182,11 @@ void measureBase(const Workload &W, const ExperimentOptions &Opts,
   Out.BaseHeapBytes = Run.Counters.get("vm.heapBytes");
 }
 
-/// Counter extraction shared by the executed and the replayed paths —
-/// both produce the same Stats, so metrics fill identically.
+/// Metric extraction shared by the executed and the replayed paths —
+/// both produce the same DetectResult, so metrics fill identically.
 void fillToolMetrics(ToolMetrics &M, const std::string &ToolName,
-                     const Stats &Counters) {
+                     const DetectResult &Run) {
+  const Stats &Counters = Run.Counters;
   M.Tool = ToolName;
   uint64_t FieldEvents = Counters.get("tool.checkEvents.field");
   uint64_t ArrayEvents = Counters.get("tool.checkEvents.array");
@@ -203,6 +201,7 @@ void fillToolMetrics(ToolMetrics &M, const std::string &ToolName,
   M.Races = Counters.get("tool.races");
   M.PeakShadowBytes = Counters.get("tool.peakShadowBytes");
   M.PeakShadowLocations = Counters.get("tool.peakShadowLocations");
+  M.FilterTableBytes = Run.FilterTableBytes;
 }
 
 /// Phase-1 cell: one instrumented configuration's counters, measured by
@@ -225,24 +224,7 @@ void measureTool(const Workload &W, const ExperimentOptions &Opts,
     std::abort();
   }
   ToolMetrics &M = Out.Tools[static_cast<size_t>(ToolIdx)];
-  fillToolMetrics(M, IP.Tool.Name, Run.Counters);
-  M.FilterHits = Run.Filter.hits();
-  M.FilterMisses = Run.Filter.misses();
-  M.FilterInvalidations = Run.Filter.Invalidations;
-  M.FilterTableBytes = Run.FilterTableBytes;
-}
-
-/// Everything a trace's SUMMARY section stores about the recording run.
-TraceSummary summaryOf(const VmResult &Run) {
-  TraceSummary S;
-  S.Ok = Run.Ok;
-  S.Error = Run.Error;
-  S.Output = Run.Output;
-  S.StatementsExecuted = Run.StatementsExecuted;
-  for (const auto &[Name, Value] : Run.Counters.all())
-    if (Name.rfind("tool.", 0) != 0)
-      S.Counters[Name] = Value;
-  return S;
+  fillToolMetrics(M, IP.Tool.Name, Run);
 }
 
 /// Record-wave cell: execute one placement with a TraceWriter on the
@@ -269,7 +251,7 @@ void measureRecord(const Workload &W, const ExperimentOptions &Opts,
                  W.Name.c_str(), IP.Tool.Name.c_str(), Run.Error.c_str());
     std::abort();
   }
-  Writer.finish(summaryOf(Run));
+  Writer.finish(Run.traceSummary());
   TraceBytes = Writer.buffer();
   if (!Opts.RecordDir.empty()) {
     ::mkdir(Opts.RecordDir.c_str(), 0777); // EEXIST is fine; races are too.
@@ -292,9 +274,7 @@ void appendReplayJobs(const PlacementTraces &Traces,
     J.MakeConfig = [T](const DetectorConfig &Recorded) {
       return replayConfigFor(T, Recorded);
     };
-    J.Opts.CheckFilter = Opts.CheckFilter;
-    J.Opts.DetectShards = Opts.DetectShards;
-    J.Opts.SyncTable = Opts.SyncTable;
+    static_cast<DetectOptions &>(J.Opts) = Opts;
     Jobs.push_back(std::move(J));
   }
 }
@@ -311,21 +291,14 @@ void fillReplayMetrics(const Workload &W, const ReplayResult *Results,
       std::abort();
     }
     ToolMetrics &M = Out.Tools[static_cast<size_t>(T)];
-    fillToolMetrics(M, Run.Tool, Run.Counters);
-    M.FilterHits = Run.Filter.hits();
-    M.FilterMisses = Run.Filter.misses();
-    M.FilterInvalidations = Run.Filter.Invalidations;
-    M.FilterTableBytes = Run.FilterTableBytes;
+    fillToolMetrics(M, Run.Tool, Run);
   }
 }
 
 /// Phase 2: best-of-N wall-clock timing for one workload (base plus every
-/// configuration). Serial by design — call only on a quiesced pool. When
-/// \p Traces is non-null (replay mode), each tool additionally gets a
-/// best-of-N replay timing: pure detector cost, no execution.
+/// configuration). Serial by design — call only on a quiesced pool.
 void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
-                  ExperimentResult &Out,
-                  const PlacementTraces *Traces = nullptr) {
+                  ExperimentResult &Out) {
   ParseResult PR = parseWorkload(W);
   const Program &Prog = *PR.Prog;
   VmOptions VmOpts = vmOptionsFor(Opts);
@@ -342,25 +315,9 @@ void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
 
   for (int T = 0; T < kNumTools; ++T) {
     InstrumentedProgram IP = instrumentFor(Prog, T);
-    // Explicit best-of-N (rather than timedBest) so async mode can keep
-    // the VmSeconds / DetectorSeconds split of the best iteration, not
-    // the last one.
-    double ToolSec = 1e100, BestVm = 0, BestDet = 0;
-    std::vector<ShardLaneStats> BestLanes;
-    VmResult Run;
-    for (int I = 0; I < Opts.Iterations; ++I) {
-      Timer Clk;
-      Run = runProgram(*IP.Prog, IP.Tool, VmOpts);
-      double Sec = Clk.seconds();
-      if (Sec < ToolSec) {
-        ToolSec = Sec;
-        BestVm = Run.VmSeconds;
-        BestDet = Run.DetectorSeconds;
-        BestLanes = Run.ShardLanes;
-      }
-      if (!Run.Ok)
-        break;
-    }
+    auto [ToolSec, Run] = timedBest(Opts.Iterations, [&IP, &VmOpts] {
+      return runProgram(*IP.Prog, IP.Tool, VmOpts);
+    });
     if (!Run.Ok) {
       std::fprintf(stderr, "workload %s under %s failed: %s\n",
                    W.Name.c_str(), IP.Tool.Name.c_str(), Run.Error.c_str());
@@ -371,47 +328,6 @@ void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
     M.OverheadX = Out.BaseSeconds > 0
                       ? (ToolSec - Out.BaseSeconds) / Out.BaseSeconds
                       : 0;
-    if (VmOpts.AsyncDetect || VmOpts.DetectShards > 0) {
-      // The split is the async timing product; the replay leg below would
-      // overwrite DetectorSeconds with a different quantity, so skip it.
-      M.VmSeconds = BestVm;
-      M.DetectorSeconds = BestDet;
-    }
-    if (VmOpts.DetectShards > 0) {
-      // Shard-lane accounting from the same best iteration as the split;
-      // producer-side routing totals are iteration-invariant, so take
-      // them from the last run.
-      for (const ShardLaneStats &L : BestLanes) {
-        M.ShardBusySeconds.push_back(double(L.BusyNs) * 1e-9);
-        M.ShardEvents.push_back(L.Events);
-      }
-      M.ShardRoutedEvents = Run.ShardRoutedEvents;
-      M.ShardBroadcastEvents = Run.ShardBroadcastEvents;
-      M.ShardBroadcastCopies = Run.ShardBroadcastCopies;
-      M.ShardHorizonAdvances = Run.ShardHorizonAdvances;
-      M.ShardTableReads = Run.ShardTableReads;
-      M.ShardSyncPublishes = Run.ShardSyncPublishes;
-      M.ShardSyncTableBytes = Run.ShardSyncTableBytes;
-    }
-    if (Traces && !VmOpts.AsyncDetect && VmOpts.DetectShards == 0) {
-      const std::vector<uint8_t> &Trace =
-          (*Traces)[static_cast<size_t>(kToolPlacement[T])];
-      ReplayOptions ROpts;
-      ROpts.CheckFilter = Opts.CheckFilter;
-      auto [ReplaySec, ReplayRun] =
-          timedBest(Opts.Iterations, [&Trace, T, &ROpts] {
-            TraceReader Reader;
-            Reader.open(Trace.data(), Trace.size());
-            return replayTrace(Reader, replayConfigFor(T, Reader.config()),
-                               ROpts);
-          });
-      if (!ReplayRun.Ok) {
-        std::fprintf(stderr, "workload %s replay timing under %s failed: %s\n",
-                     W.Name.c_str(), M.Tool.c_str(), ReplayRun.Error.c_str());
-        std::abort();
-      }
-      M.DetectorSeconds = ReplaySec;
-    }
   }
 }
 
@@ -438,7 +354,7 @@ ExperimentResult bigfoot::runExperiment(const Workload &W,
       measureTool(W, Opts, T, Out);
   }
   if (Opts.Iterations > 0)
-    timeWorkload(W, Opts, Out, Opts.UseReplay ? &Traces : nullptr);
+    timeWorkload(W, Opts, Out);
   return Out;
 }
 
@@ -543,8 +459,7 @@ bigfoot::runSuite(SuiteScale Scale, const ExperimentOptions &Opts) {
   // Phase 2: wall-clock timing on the now-quiesced pool.
   if (Opts.Iterations > 0)
     for (size_t I = 0; I < Suite.size(); ++I)
-      timeWorkload(Suite[I], Opts, Out[I],
-                   Opts.UseReplay ? &Traces[I] : nullptr);
+      timeWorkload(Suite[I], Opts, Out[I]);
   return Out;
 }
 
@@ -560,37 +475,29 @@ double bigfoot::geomeanOverhead(const std::vector<double> &Overheads) {
 BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
   BenchArgs Args;
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--small") == 0)
+    const char *Arg = Argv[I];
+    if (std::strcmp(Arg, "--small") == 0)
       Args.Scale = SuiteScale::Test;
-    else if (std::strncmp(Argv[I], "--iters=", 8) == 0)
-      Args.Opts.Iterations = std::atoi(Argv[I] + 8);
-    else if (std::strncmp(Argv[I], "--seed=", 7) == 0)
-      Args.Opts.Seed = static_cast<uint64_t>(std::atoll(Argv[I] + 7));
-    else if (std::strncmp(Argv[I], "--jobs=", 7) == 0)
-      Args.Opts.Jobs = static_cast<unsigned>(std::atoi(Argv[I] + 7));
-    else if (std::strcmp(Argv[I], "--ast") == 0)
+    else if (std::strncmp(Arg, "--iters=", 8) == 0)
+      Args.Opts.Iterations =
+          static_cast<int>(parseNumericFlag(Arg, 0, INT_MAX));
+    else if (std::strncmp(Arg, "--seed=", 7) == 0)
+      Args.Opts.Seed = parseNumericFlag(Arg, 0, UINT64_MAX);
+    else if (std::strncmp(Arg, "--jobs=", 7) == 0)
+      Args.Opts.Jobs =
+          static_cast<unsigned>(parseNumericFlag(Arg, 0, UINT_MAX));
+    else if (std::strcmp(Arg, "--ast") == 0)
       Args.Opts.UseBytecode = false;
-    else if (std::strcmp(Argv[I], "--replay") == 0)
+    else if (std::strcmp(Arg, "--replay") == 0)
       Args.Opts.UseReplay = true;
-    else if (std::strcmp(Argv[I], "--no-replay") == 0)
+    else if (std::strcmp(Arg, "--no-replay") == 0)
       Args.Opts.UseReplay = false;
-    else if (std::strncmp(Argv[I], "--record-dir=", 13) == 0)
-      Args.Opts.RecordDir = Argv[I] + 13;
-    else if (std::strcmp(Argv[I], "--async-detect") == 0)
-      Args.Opts.AsyncDetect = true;
-    else if (std::strncmp(Argv[I], "--detect-shards=", 16) == 0)
-      Args.Opts.DetectShards = std::strcmp(Argv[I] + 16, "auto") == 0
-                                   ? autoShardCount()
-                                   : static_cast<size_t>(
-                                         std::atoi(Argv[I] + 16));
-    else if (std::strcmp(Argv[I], "--no-sync-table") == 0)
-      Args.Opts.SyncTable = false;
-    else if (std::strcmp(Argv[I], "--no-check-filter") == 0)
-      Args.Opts.CheckFilter = false;
-    else if (std::strncmp(Argv[I], "--workload=", 11) == 0)
-      Args.Workload = Argv[I] + 11;
+    else if (std::strncmp(Arg, "--record-dir=", 13) == 0)
+      Args.Opts.RecordDir = Arg + 13;
+    else if (std::strncmp(Arg, "--workload=", 11) == 0)
+      Args.Workload = Arg + 11;
+    else
+      parseDetectFlag(Arg, Args.Opts, Args.Opts.AsyncDetect);
   }
-  if (Args.Opts.Iterations < 0)
-    Args.Opts.Iterations = 1;
   return Args;
 }

@@ -16,6 +16,7 @@
 #ifndef BIGFOOT_HARNESS_EXPERIMENT_H
 #define BIGFOOT_HARNESS_EXPERIMENT_H
 
+#include "events/DetectionBackend.h"
 #include "workloads/Workloads.h"
 
 #include <cstdint>
@@ -32,47 +33,15 @@ struct ToolMetrics {
   double ArrayCheckRatio = 0; ///< array check events / heap accesses.
   double Seconds = 0;         ///< best-of-N instrumented run time.
   double OverheadX = 0;       ///< (Seconds - Base) / Base.
-  /// Detector-only cost. Replay mode: best-of-N trace-replay time (no
-  /// execution at all). Async mode: the detector thread's busy seconds
-  /// from the instrumented run — the other half of VmSeconds. 0 otherwise.
-  double DetectorSeconds = 0;
-  /// Async mode only: producer-side seconds of the instrumented run
-  /// (execution + event publication, including backpressure stalls).
-  double VmSeconds = 0;
   uint64_t ShadowOps = 0;
   uint64_t Races = 0;
   uint64_t PeakShadowBytes = 0;
   uint64_t PeakShadowLocations = 0;
-  /// Check-filter effectiveness (all zero when the filter is off). Kept
-  /// apart from the counter-derived fields above, which must be
-  /// byte-identical with the filter on and off.
-  uint64_t FilterHits = 0;
-  uint64_t FilterMisses = 0;
-  uint64_t FilterInvalidations = 0;
-  /// Filter metadata footprint; Table 2's census adds this to
-  /// PeakShadowBytes so the memory account stays honest.
+  /// Check-filter metadata footprint, kept apart from the counter-derived
+  /// fields above (which are byte-identical with the filter on and off);
+  /// Table 2's census adds it to PeakShadowBytes so the memory account
+  /// stays honest.
   uint64_t FilterTableBytes = 0;
-  /// Sharded mode only (ExperimentOptions::DetectShards > 0): per-shard
-  /// detector busy seconds and applied event counts from the best timed
-  /// iteration, plus the producer-side broadcast accounting. Like the
-  /// filter stats, kept apart from the counter-derived fields — the
-  /// counter map is byte-identical across shard counts.
-  std::vector<double> ShardBusySeconds;
-  std::vector<uint64_t> ShardEvents;
-  uint64_t ShardRoutedEvents = 0;
-  uint64_t ShardBroadcastEvents = 0;
-  /// Broadcast deliveries (events x shards); amplification ratio is
-  /// (Routed + Copies) / (Routed + Broadcast), 1 when nothing was
-  /// emitted. Zero in split-state mode — sync edges stop fanning out.
-  uint64_t ShardBroadcastCopies = 0;
-  /// Split-state sync-table accounting (DESIGN.md Sec. 13; zero in
-  /// legacy broadcast mode): horizon markers applied across lanes,
-  /// shared snapshot resolutions on check paths, snapshots published,
-  /// and the table's storage footprint.
-  uint64_t ShardHorizonAdvances = 0;
-  uint64_t ShardTableReads = 0;
-  uint64_t ShardSyncPublishes = 0;
-  uint64_t ShardSyncTableBytes = 0;
 };
 
 /// All measurements for one workload.
@@ -93,8 +62,9 @@ struct ExperimentResult {
   const ToolMetrics &tool(const std::string &Name) const;
 };
 
-/// Experiment knobs.
-struct ExperimentOptions {
+/// Experiment knobs; the detection knobs are the DetectOptions base and
+/// apply to execution and replay legs alike.
+struct ExperimentOptions : DetectOptions {
   int Iterations = 3; ///< Timed repetitions; the minimum is reported.
                       ///< 0 skips wall-clock timing entirely (counters,
                       ///< ratios, and shadow memory are still measured).
@@ -113,29 +83,13 @@ struct ExperimentOptions {
   /// recording the event stream, then replay all six detector configs
   /// offline from those traces — 3 executions + 6 replays instead of 6
   /// instrumented executions. Results are bytewise identical either way
-  /// (the harness test enforces it); replay mode additionally measures
-  /// ToolMetrics::DetectorSeconds during the timing phase.
+  /// (the harness test enforces it).
   bool UseReplay = true;
   /// When non-empty, recorded traces are also written into this directory
   /// as <workload>.<placement>.bft (replay mode only).
   std::string RecordDir;
   /// Run detectors on a dedicated thread per VM (VmOptions::AsyncDetect).
-  /// Timing then reports the VmSeconds / DetectorSeconds split per tool.
   bool AsyncDetect = false;
-  /// Epoch-stamped redundant-check elision in front of every detector
-  /// (DESIGN.md Sec. 11); applies to execution and replay legs alike.
-  bool CheckFilter = true;
-  /// Sharded parallel detection (DESIGN.md Sec. 12): fan each run's event
-  /// stream out to N location-partitioned detector workers. 0 = off.
-  /// Implies the async pipeline and takes precedence over AsyncDetect;
-  /// applies to execution and replay legs alike. Counters, races, and
-  /// ratios are byte-identical for every shard count.
-  size_t DetectShards = 0;
-  /// Split-state sync clocks for sharded runs (DESIGN.md Sec. 13): sync
-  /// edges apply once to a shared SyncClockTable instead of replaying
-  /// in every lane. Off = the legacy broadcast fan-out; results are
-  /// byte-identical either way.
-  bool SyncTable = true;
 };
 
 /// Runs all five detectors (plus the base) on one workload.
@@ -156,7 +110,8 @@ double geomeanOverhead(const std::vector<double> &Overheads);
 /// Parses --small/--iters=N/--seed=N/--jobs=N/--ast/--replay/--no-replay/
 /// --record-dir=DIR/--async-detect/--detect-shards=N|auto/--no-sync-table/
 /// --no-check-filter/--workload=NAME command-line options shared by the
-/// bench binaries.
+/// bench binaries. Numeric values are strict (see parseNumericFlag): a
+/// malformed or out-of-range value exits with an error.
 struct BenchArgs {
   SuiteScale Scale = SuiteScale::Bench;
   ExperimentOptions Opts;

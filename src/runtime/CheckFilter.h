@@ -98,7 +98,7 @@ namespace bigfoot {
 /// Filter effectiveness tallies. Deliberately kept out of the Stats map:
 /// race reports and harness counters must be byte-identical with the
 /// filter on and off, so its own accounting travels beside the counters
-/// (VmResult/ReplayResult), not among them. Misses count probed misses
+/// (DetectResult), not among them. Misses count probed misses
 /// (plus bypassed wide groups); checks the caller passes through under
 /// a duty-cycle skip grant never reach the filter and are not tallied.
 struct CheckFilterStats {

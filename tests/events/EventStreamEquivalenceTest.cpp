@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -45,21 +46,20 @@ std::vector<InstrumentedProgram> allSixConfigs(const Program &P) {
   return All;
 }
 
-/// What the recording run stores in the trace (mirrors the harness).
-TraceSummary summaryOf(const VmResult &Run) {
-  TraceSummary S;
-  S.Ok = Run.Ok;
-  S.Error = Run.Error;
-  S.Output = Run.Output;
-  S.StatementsExecuted = Run.StatementsExecuted;
-  for (const auto &[Name, Value] : Run.Counters.all())
-    if (Name.rfind("tool.", 0) != 0)
-      S.Counters[Name] = Value;
-  return S;
-}
-
-void expectSameRun(const std::string &Tag, const VmResult &A,
-                   const VmResult &B) {
+/// Everything two runs of the same program, seed and placement must
+/// agree on, whether each was executed or replayed and whatever the
+/// dispatch mode: status, output, counters, both race reports in order,
+/// and the four tallies of the CLI's [filter] line when both runs
+/// filtered over the same number of lanes (an unsharded run is one
+/// lane). Each shard lane runs its own filter (per-thread warmup, duty
+/// cycle and tables) over its slice of a thread's checks, so with
+/// several lanes the tallies match the unsharded ones only while no
+/// thread leaves the warmup: true for the short racy programs
+/// ShardedMergeDeterministicAcrossShardCounts pins, not for lufact or
+/// moldyn here (a known defect, see ROADMAP.md). FilterTableBytes is not
+/// compared: it sums per lane.
+void expectSameResult(const std::string &Tag, const DetectResult &A,
+                      const DetectResult &B) {
   EXPECT_EQ(A.Ok, B.Ok) << Tag;
   EXPECT_EQ(A.Error, B.Error) << Tag;
   EXPECT_EQ(A.Output, B.Output) << Tag;
@@ -71,26 +71,19 @@ void expectSameRun(const std::string &Tag, const VmResult &A,
   for (size_t I = 0; I < A.ToolRaces.size(); ++I)
     EXPECT_EQ(A.ToolRaces[I].str(), B.ToolRaces[I].str())
         << Tag << " race " << I;
-}
-
-void expectReplayMatches(const std::string &Tag, const VmResult &Run,
-                         const ReplayResult &Rep) {
-  EXPECT_EQ(Run.Ok, Rep.Ok) << Tag;
-  EXPECT_EQ(Run.Error, Rep.Error) << Tag;
-  EXPECT_EQ(Run.Output, Rep.Output) << Tag;
-  EXPECT_EQ(Run.StatementsExecuted, Rep.StatementsExecuted) << Tag;
-  EXPECT_EQ(Run.Counters.all(), Rep.Counters.all()) << Tag;
-  EXPECT_EQ(Run.ToolRacyLocations, Rep.ToolRacyLocations) << Tag;
-  EXPECT_EQ(Run.GroundTruthRacyLocations, Rep.GroundTruthRacyLocations)
-      << Tag;
-  ASSERT_EQ(Run.ToolRaces.size(), Rep.ToolRaces.size()) << Tag;
-  for (size_t I = 0; I < Run.ToolRaces.size(); ++I)
-    EXPECT_EQ(Run.ToolRaces[I].str(), Rep.ToolRaces[I].str())
-        << Tag << " race " << I;
-  ASSERT_EQ(Run.GroundTruthRaces.size(), Rep.GroundTruthRaces.size()) << Tag;
-  for (size_t I = 0; I < Run.GroundTruthRaces.size(); ++I)
-    EXPECT_EQ(Run.GroundTruthRaces[I].str(), Rep.GroundTruthRaces[I].str())
+  ASSERT_EQ(A.GroundTruthRaces.size(), B.GroundTruthRaces.size()) << Tag;
+  for (size_t I = 0; I < A.GroundTruthRaces.size(); ++I)
+    EXPECT_EQ(A.GroundTruthRaces[I].str(), B.GroundTruthRaces[I].str())
         << Tag << " oracle race " << I;
+  auto Lanes = [](const DetectResult &R) {
+    return std::max<size_t>(1, R.ShardLanes.size());
+  };
+  if (A.FilterEnabled && B.FilterEnabled && Lanes(A) == Lanes(B)) {
+    EXPECT_EQ(A.Filter.hits(), B.Filter.hits()) << Tag;
+    EXPECT_EQ(A.Filter.misses(), B.Filter.misses()) << Tag;
+    EXPECT_EQ(A.Filter.Invalidations, B.Filter.Invalidations) << Tag;
+    EXPECT_EQ(A.Filter.RangeExtends, B.Filter.RangeExtends) << Tag;
+  }
 }
 
 TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
@@ -124,9 +117,9 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         Opts.EventBatch = kDefaultEventBatch;
         Opts.RecordSink = &Writer;
         VmResult Batched = runProgram(*IP.Prog, IP.Tool, Opts);
-        Writer.finish(summaryOf(Batched));
+        Writer.finish(Batched.traceSummary());
 
-        expectSameRun(Tag + " inline-vs-batched", Inline, Batched);
+        expectSameResult(Tag + " inline-vs-batched", Inline, Batched);
 
         // Asynchronous detection: the same stream applied on a dedicated
         // detector thread behind the batch ring. Small batches and a
@@ -138,7 +131,7 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         AsyncOpts.EventBatch = 64;
         AsyncOpts.AsyncRingBatches = 4;
         VmResult Async = runProgram(*IP.Prog, IP.Tool, AsyncOpts);
-        expectSameRun(Tag + " inline-vs-async", Inline, Async);
+        expectSameResult(Tag + " inline-vs-async", Inline, Async);
 
         // Sharded detection (DESIGN.md Sec. 12): the same stream fanned
         // out to location-partitioned detector workers, merged back.
@@ -151,7 +144,7 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         ShardOpts.EventBatch = 64;
         ShardOpts.AsyncRingBatches = 4;
         VmResult Sharded = runProgram(*IP.Prog, IP.Tool, ShardOpts);
-        expectSameRun(Tag + " inline-vs-sharded2", Inline, Sharded);
+        expectSameResult(Tag + " inline-vs-sharded2", Inline, Sharded);
         EXPECT_EQ(Sharded.ShardOrderViolations, 0u) << Tag;
         // Split-state mode (the default, DESIGN.md Sec. 13): sync edges
         // apply once to the shared SyncClockTable, so nothing fans out —
@@ -167,7 +160,7 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         VmOptions BcastOpts = ShardOpts;
         BcastOpts.SyncTable = false;
         VmResult Bcast = runProgram(*IP.Prog, IP.Tool, BcastOpts);
-        expectSameRun(Tag + " inline-vs-broadcast2", Inline, Bcast);
+        expectSameResult(Tag + " inline-vs-broadcast2", Inline, Bcast);
         EXPECT_EQ(Bcast.ShardOrderViolations, 0u) << Tag;
         EXPECT_EQ(Bcast.ShardBroadcastCopies, Bcast.ShardBroadcastEvents * 2)
             << Tag;
@@ -181,7 +174,7 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
             Reader.open(Writer.buffer().data(), Writer.buffer().size()))
             << Tag << ": " << Reader.error();
         ReplayResult Rep = replayTrace(Reader, Reader.config(), RO);
-        expectReplayMatches(Tag + " batched-vs-replay", Batched, Rep);
+        expectSameResult(Tag + " batched-vs-replay", Batched, Rep);
 
         // ...and per-event, which must agree with the batched replay.
         TraceReader PerEvent;
@@ -190,8 +183,7 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
             << Tag << ": " << PerEvent.error();
         RO.Batch = 1;
         ReplayResult Rep1 = replayTrace(PerEvent, PerEvent.config(), RO);
-        EXPECT_EQ(Rep.Counters.all(), Rep1.Counters.all()) << Tag;
-        EXPECT_EQ(Rep.ToolRacyLocations, Rep1.ToolRacyLocations) << Tag;
+        expectSameResult(Tag + " replay-vs-per-event-replay", Rep, Rep1);
         EXPECT_EQ(Rep.EventsReplayed, Rep1.EventsReplayed) << Tag;
 
         // Sharded replay: the shard count is a replay knob like the
@@ -205,8 +197,8 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         ShardRO.DetectShards = 3;
         ReplayResult RepSharded =
             replayTrace(ShardReader, ShardReader.config(), ShardRO);
-        expectReplayMatches(Tag + " batched-vs-sharded-replay", Batched,
-                            RepSharded);
+        expectSameResult(Tag + " batched-vs-sharded-replay", Batched,
+                         RepSharded);
         EXPECT_EQ(RepSharded.ShardOrderViolations, 0u) << Tag;
       }
     }
@@ -239,7 +231,7 @@ TEST(EventStreamEquivalence, CheckFilterOnOffAgreeEverywhere) {
         TraceWriter Writer(IP.Prog->symbols(), IP.Tool);
         Opts.RecordSink = &Writer;
         VmResult On = runProgram(*IP.Prog, IP.Tool, Opts);
-        Writer.finish(summaryOf(On));
+        Writer.finish(On.traceSummary());
         EXPECT_TRUE(On.FilterEnabled) << Tag;
 
         Opts.RecordSink = nullptr;
@@ -247,7 +239,7 @@ TEST(EventStreamEquivalence, CheckFilterOnOffAgreeEverywhere) {
         VmResult Off = runProgram(*IP.Prog, IP.Tool, Opts);
         EXPECT_FALSE(Off.FilterEnabled) << Tag;
         EXPECT_EQ(Off.Filter.hits() + Off.Filter.misses(), 0u) << Tag;
-        expectSameRun(Tag + " on-vs-off", On, Off);
+        expectSameResult(Tag + " on-vs-off", On, Off);
 
         // Replay the filtered recording with the filter off: still
         // byte-identical (the knob is a replay option, not a trace
@@ -260,21 +252,19 @@ TEST(EventStreamEquivalence, CheckFilterOnOffAgreeEverywhere) {
             Reader.open(Writer.buffer().data(), Writer.buffer().size()))
             << Tag << ": " << Reader.error();
         ReplayResult RepOff = replayTrace(Reader, Reader.config(), RO);
-        expectReplayMatches(Tag + " on-vs-replay-off", On, RepOff);
+        expectSameResult(Tag + " on-vs-replay-off", On, RepOff);
 
         // And a filtered replay's effectiveness tallies are a pure
-        // function of the event stream: they match the online run's.
+        // function of the event stream: they match the online run's
+        // (expectSameResult compares them when both runs filtered).
         RO.CheckFilter = true;
         TraceReader Again;
         ASSERT_TRUE(
             Again.open(Writer.buffer().data(), Writer.buffer().size()))
             << Tag << ": " << Again.error();
         ReplayResult RepOn = replayTrace(Again, Again.config(), RO);
-        expectReplayMatches(Tag + " on-vs-replay-on", On, RepOn);
-        EXPECT_EQ(On.Filter.hits(), RepOn.Filter.hits()) << Tag;
-        EXPECT_EQ(On.Filter.misses(), RepOn.Filter.misses()) << Tag;
-        EXPECT_EQ(On.Filter.Invalidations, RepOn.Filter.Invalidations)
-            << Tag;
+        EXPECT_TRUE(RepOn.FilterEnabled) << Tag;
+        expectSameResult(Tag + " on-vs-replay-on", On, RepOn);
       }
     }
   }
@@ -307,8 +297,8 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
         SO.EventBatch = 32;   // Small batches: publication churn.
         SO.AsyncRingBatches = 2; // Shallow rings: backpressure fires.
         VmResult A = runProgram(*IP.Prog, IP.Tool, SO);
-        expectSameRun(Tag + " sync-vs-shards" + std::to_string(Shards),
-                      Sync, A);
+        expectSameResult(Tag + " sync-vs-shards" + std::to_string(Shards),
+                         Sync, A);
         // The merged filter line is part of the CLI report the byte-diff
         // smokes compare: hit/miss/extend tallies partition across the
         // lanes (routed checks) and invalidations are broadcast-driven
@@ -336,15 +326,15 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
         // Run-to-run determinism at the same count: the merge may not
         // depend on worker scheduling.
         VmResult B = runProgram(*IP.Prog, IP.Tool, SO);
-        expectSameRun(Tag + " rerun-shards" + std::to_string(Shards), A, B);
+        expectSameResult(Tag + " rerun-shards" + std::to_string(Shards), A, B);
 
         // The legacy broadcast path stays wired and byte-identical, with
         // the PR 9 events x shards copy accounting.
         VmOptions LO = SO;
         LO.SyncTable = false;
         VmResult C = runProgram(*IP.Prog, IP.Tool, LO);
-        expectSameRun(Tag + " broadcast-shards" + std::to_string(Shards),
-                      Sync, C);
+        expectSameResult(Tag + " broadcast-shards" + std::to_string(Shards),
+                         Sync, C);
         EXPECT_EQ(C.ShardOrderViolations, 0u) << Tag;
         EXPECT_EQ(C.ShardBroadcastCopies, C.ShardBroadcastEvents * Shards)
             << Tag;
@@ -436,7 +426,7 @@ thread {
       AsyncOpts.EventBatch = 32;
       AsyncOpts.AsyncRingBatches = 4;
       VmResult Async = runProgram(*IP.Prog, IP.Tool, AsyncOpts);
-      expectSameRun(Tag + " inline-vs-async", Inline, Async);
+      expectSameResult(Tag + " inline-vs-async", Inline, Async);
 
       for (size_t Shards : {size_t(2), size_t(4)}) {
         VmOptions SO;
@@ -447,7 +437,7 @@ thread {
         SO.AsyncRingBatches = 2;
         VmResult Sharded = runProgram(*IP.Prog, IP.Tool, SO);
         std::string STag = Tag + "/shards" + std::to_string(Shards);
-        expectSameRun(STag + " inline-vs-sharded", Inline, Sharded);
+        expectSameResult(STag + " inline-vs-sharded", Inline, Sharded);
         EXPECT_EQ(Sharded.ShardOrderViolations, 0u) << STag;
         EXPECT_EQ(Sharded.ShardBroadcastCopies, 0u) << STag;
         EXPECT_EQ(Sharded.ShardHorizonAdvances,
@@ -463,7 +453,7 @@ thread {
         VmOptions LO = SO;
         LO.SyncTable = false;
         VmResult Bcast = runProgram(*IP.Prog, IP.Tool, LO);
-        expectSameRun(STag + " inline-vs-broadcast", Inline, Bcast);
+        expectSameResult(STag + " inline-vs-broadcast", Inline, Bcast);
         EXPECT_EQ(Bcast.ShardBroadcastCopies,
                   Bcast.ShardBroadcastEvents * Shards)
             << STag;
@@ -494,7 +484,7 @@ TEST(EventStreamEquivalence, DetectorFreeRecordingReplaysIdentically) {
     TraceWriter Writer(IP.Prog->symbols(), IP.Tool);
     Opts.RecordSink = &Writer;
     VmResult Recorded = runProgramBase(*IP.Prog, Opts);
-    Writer.finish(summaryOf(Recorded));
+    Writer.finish(Recorded.traceSummary());
 
     // The recording run executes the same placed checks, so everything
     // except the detector-owned counters already matches.
@@ -509,15 +499,7 @@ TEST(EventStreamEquivalence, DetectorFreeRecordingReplaysIdentically) {
     ASSERT_TRUE(Reader.open(Writer.buffer().data(), Writer.buffer().size()))
         << Tag << ": " << Reader.error();
     ReplayResult Replayed = replayTrace(Reader, Reader.config());
-    EXPECT_EQ(Online.Ok, Replayed.Ok) << Tag;
-    EXPECT_EQ(Online.Output, Replayed.Output) << Tag;
-    EXPECT_EQ(Online.StatementsExecuted, Replayed.StatementsExecuted) << Tag;
-    EXPECT_EQ(Online.Counters.all(), Replayed.Counters.all()) << Tag;
-    EXPECT_EQ(Online.ToolRacyLocations, Replayed.ToolRacyLocations) << Tag;
-    ASSERT_EQ(Online.ToolRaces.size(), Replayed.ToolRaces.size()) << Tag;
-    for (size_t I = 0; I < Online.ToolRaces.size(); ++I)
-      EXPECT_EQ(Online.ToolRaces[I].str(), Replayed.ToolRaces[I].str())
-          << Tag << " race " << I;
+    expectSameResult(Tag + " online-vs-replay", Online, Replayed);
   }
 }
 

@@ -326,11 +326,10 @@ TEST(AsyncSink, EmptyBatchesAndDestructorDrain) {
 TEST(ShardedSink, DestructorWithoutFinishJoinsAllLanes) {
   for (int Round = 0; Round < 24; ++Round) {
     ShardedSink::Options SO;
-    SO.Shards = 1 + size_t(Round) % 4;
+    SO.DetectShards = 1 + size_t(Round) % 4;
     SO.RingBatches = 2;
     SO.Tool = fastTrackConfig();
     SO.Oracle = Round % 2 == 0;
-    SO.OracleCfg = fastTrackConfig();
     ShardedSink Sink(std::move(SO));
 
     // A mix of routed checks (spread over objects, so every lane gets
@@ -372,7 +371,7 @@ TEST(ShardedSink, FinishAfterBroadcastHeavyTrafficIsDeterministic) {
   for (int Round = 0; Round < 8; ++Round) {
     const bool Table = Round % 2 == 0;
     ShardedSink::Options SO;
-    SO.Shards = 3;
+    SO.DetectShards = 3;
     SO.RingBatches = 2;
     SO.Tool = fastTrackConfig();
     SO.SyncTable = Table;
@@ -400,17 +399,18 @@ TEST(ShardedSink, FinishAfterBroadcastHeavyTrafficIsDeterministic) {
       Sink.consumeBatch(Batch.data(), Batch.size(), Payload.data());
     }
     Sink.drain();
-    ShardedSink::Merged M = Sink.finish();
-    EXPECT_EQ(M.OrderViolations, 0u) << "round " << Round;
+    DetectResult M;
+    Sink.finish(M);
+    EXPECT_EQ(M.ShardOrderViolations, 0u) << "round " << Round;
     if (Table) {
-      EXPECT_EQ(M.BroadcastCopies, 0u) << "round " << Round;
-      EXPECT_EQ(M.HorizonAdvances, M.BroadcastEvents * 3)
+      EXPECT_EQ(M.ShardBroadcastCopies, 0u) << "round " << Round;
+      EXPECT_EQ(M.ShardHorizonAdvances, M.ShardBroadcastEvents * 3)
           << "round " << Round;
-      EXPECT_GT(M.SyncPublishes, 0u) << "round " << Round;
+      EXPECT_GT(M.ShardSyncPublishes, 0u) << "round " << Round;
     } else {
-      EXPECT_EQ(M.BroadcastCopies, M.BroadcastEvents * 3)
+      EXPECT_EQ(M.ShardBroadcastCopies, M.ShardBroadcastEvents * 3)
           << "round " << Round;
-      EXPECT_EQ(M.HorizonAdvances, 0u) << "round " << Round;
+      EXPECT_EQ(M.ShardHorizonAdvances, 0u) << "round " << Round;
     }
     if (Round == 0)
       Reference = M.Counters;

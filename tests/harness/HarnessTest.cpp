@@ -200,6 +200,32 @@ TEST(Harness, BenchArgsParsing) {
   EXPECT_FALSE(Defaults.Opts.AsyncDetect);
   const char *Async[] = {"prog", "--async-detect"};
   EXPECT_TRUE(parseBenchArgs(2, const_cast<char **>(Async)).Opts.AsyncDetect);
+  // The other detection flags go through the same parser as the CLI's.
+  EXPECT_EQ(Defaults.Opts.DetectShards, 0u);
+  EXPECT_TRUE(Defaults.Opts.SyncTable);
+  EXPECT_TRUE(Defaults.Opts.CheckFilter);
+  const char *Detect[] = {"prog", "--detect-shards=64", "--no-sync-table",
+                          "--no-check-filter"};
+  BenchArgs D = parseBenchArgs(4, const_cast<char **>(Detect));
+  EXPECT_EQ(D.Opts.DetectShards, 64u);
+  EXPECT_FALSE(D.Opts.SyncTable);
+  EXPECT_FALSE(D.Opts.CheckFilter);
+  EXPECT_FALSE(D.Opts.AsyncDetect);
+}
+
+// Bench flags are as strict as the CLI's: a shard count past the cap or
+// a non-decimal number exits before any worker thread could start.
+TEST(Harness, BenchArgsRejectMalformedNumbers) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char *TooMany[] = {"prog", "--detect-shards=65"};
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(TooMany)),
+              testing::ExitedWithCode(1), "expects an integer");
+  const char *Negative[] = {"prog", "--detect-shards=-1"};
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(Negative)),
+              testing::ExitedWithCode(1), "expects an integer");
+  const char *NotANumber[] = {"prog", "--iters=abc"};
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(NotANumber)),
+              testing::ExitedWithCode(1), "expects an integer");
 }
 
 TEST(TablePrinterTest, AlignsColumnsAndHeaderRule) {

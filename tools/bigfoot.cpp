@@ -21,6 +21,7 @@
 #include "events/Replay.h"
 #include "events/TraceCodec.h"
 #include "instrument/Instrumenters.h"
+#include "support/Flags.h"
 #include "vm/Vm.h"
 
 #include <climits>
@@ -91,32 +92,6 @@ trace subcommands (record once, re-analyze offline):
 
 std::string readFile(const char *Path);
 
-/// Upper bound on `--detect-shards=`: each shard is a worker thread.
-constexpr uint64_t MaxDetectShards = 64;
-
-/// The value of numeric flag \p Arg (e.g. "--quantum=8"), which must be a
-/// decimal integer in [Min, Max] and nothing else. Anything else exits
-/// with an error instead of running with a garbage value.
-uint64_t parseNumericFlag(const char *Arg, uint64_t Min, uint64_t Max) {
-  const char *Value = std::strchr(Arg, '=') + 1;
-  uint64_t N = 0;
-  bool Ok = *Value != '\0';
-  for (const char *C = Value; Ok && *C; ++C) {
-    unsigned Digit = static_cast<unsigned>(*C - '0');
-    if (Digit > 9 || N > (UINT64_MAX - Digit) / 10)
-      Ok = false;
-    else
-      N = N * 10 + Digit;
-  }
-  if (!Ok || N < Min || N > Max) {
-    std::cerr << "bigfoot: error: " << std::string(Arg, Value - 1)
-              << " expects an integer in [" << Min << ", " << Max
-              << "], got '" << Value << "'\n";
-    std::exit(1);
-  }
-  return N;
-}
-
 /// Applies one of the scheduler and detection flags shared by direct runs
 /// and `trace record`/`replay`; false if \p Arg is not one of them.
 bool parseVmFlag(const char *Arg, VmOptions &VmOpts) {
@@ -127,27 +102,15 @@ bool parseVmFlag(const char *Arg, VmOptions &VmOpts) {
         static_cast<unsigned>(parseNumericFlag(Arg, 1, UINT_MAX));
   else if (std::strncmp(Arg, "--commit-interval=", 18) == 0)
     VmOpts.CommitIntervalSteps = parseNumericFlag(Arg, 0, UINT64_MAX);
-  else if (std::strcmp(Arg, "--async-detect") == 0)
-    VmOpts.AsyncDetect = true;
-  else if (std::strcmp(Arg, "--detect-shards=auto") == 0)
-    VmOpts.DetectShards = autoShardCount();
-  else if (std::strncmp(Arg, "--detect-shards=", 16) == 0)
-    VmOpts.DetectShards =
-        static_cast<size_t>(parseNumericFlag(Arg, 0, MaxDetectShards));
-  else if (std::strcmp(Arg, "--no-sync-table") == 0)
-    VmOpts.SyncTable = false;
-  else if (std::strcmp(Arg, "--no-check-filter") == 0)
-    VmOpts.CheckFilter = false;
   else
-    return false;
+    return parseDetectFlag(Arg, VmOpts, VmOpts.AsyncDetect);
   return true;
 }
 
 /// The post-run report shared verbatim by execution and replay — the
 /// record/replay smoke test diffs the two outputs byte for byte.
-template <typename RunT>
-int reportRun(const std::string &ToolName, const RunT &Run, bool Oracle,
-              bool DumpStats) {
+int reportRun(const std::string &ToolName, const DetectResult &Run,
+              bool Oracle, bool DumpStats) {
   for (const std::string &Line : Run.Output)
     std::cout << Line << "\n";
   if (!Run.Ok) {
@@ -186,11 +149,10 @@ int reportRun(const std::string &ToolName, const RunT &Run, bool Oracle,
   return Run.ToolRaces.empty() ? 0 : 2;
 }
 
-/// Sharded-mode lane summary on stderr. Works for online VmResult and
-/// offline ReplayResult alike (both carry the Shard* fields); prefixed
-/// like the [async] line so byte-diff consumers can filter it.
-template <typename RunT>
-void reportShards(size_t Shards, const RunT &Run) {
+/// Sharded-mode lane summary on stderr, for online runs and replays
+/// alike; prefixed like the [async] line so byte-diff consumers can
+/// filter it.
+void reportShards(size_t Shards, const DetectResult &Run) {
   if (Shards == 0)
     return;
   // Amplification: deliveries per emitted event — routed checks land on
@@ -280,18 +242,6 @@ bool replayConfigNamed(const std::string &Name,
   return true;
 }
 
-TraceSummary summaryOf(const VmResult &Run) {
-  TraceSummary S;
-  S.Ok = Run.Ok;
-  S.Error = Run.Error;
-  S.Output = Run.Output;
-  S.StatementsExecuted = Run.StatementsExecuted;
-  for (const auto &[Name, Value] : Run.Counters.all())
-    if (Name.rfind("tool.", 0) != 0)
-      S.Counters[Name] = Value;
-  return S;
-}
-
 int traceMain(int Argc, char **Argv) {
   if (Argc < 3) {
     usage();
@@ -348,7 +298,7 @@ int traceMain(int Argc, char **Argv) {
     VmOpts.RecordSink = &Writer;
     VmOpts.EnableGroundTruth = Oracle;
     VmResult Run = runProgram(*IP.Prog, IP.Tool, VmOpts);
-    Writer.finish(summaryOf(Run));
+    Writer.finish(Run.traceSummary());
     if (!Writer.writeFile(OutPath)) {
       std::cerr << "bigfoot: error: cannot write trace '" << OutPath
                 << "'\n";
@@ -374,9 +324,7 @@ int traceMain(int Argc, char **Argv) {
     }
     ReplayOptions ROpts;
     ROpts.EnableGroundTruth = Oracle;
-    ROpts.CheckFilter = VmOpts.CheckFilter;
-    ROpts.DetectShards = VmOpts.DetectShards;
-    ROpts.SyncTable = VmOpts.SyncTable;
+    static_cast<DetectOptions &>(ROpts) = VmOpts;
     ReplayResult Run = replayTrace(Reader, Cfg, ROpts);
     reportShards(ROpts.DetectShards, Run);
     return reportRun(Cfg.Name, Run, Oracle, DumpStats);
