@@ -37,8 +37,6 @@ bool bigfoot::parseDetectFlag(const char *Arg, DetectOptions &Opts,
   else if (std::strncmp(Arg, "--detect-shards=", 16) == 0)
     Opts.DetectShards =
         static_cast<size_t>(parseNumericFlag(Arg, 0, MaxDetectShards));
-  else if (std::strcmp(Arg, "--no-sync-table") == 0)
-    Opts.SyncTable = false;
   else if (std::strcmp(Arg, "--no-check-filter") == 0)
     Opts.CheckFilter = false;
   else
@@ -61,13 +59,8 @@ DetectionBackend::DetectionBackend(const DetectorConfig *ToolCfg,
     SO.RingBatches = RingBatches;
     SO.Tool = *ToolCfg;
     SO.Symbols = Symbols;
-    SO.Oracle = WithOracle;
     Sharded = std::make_unique<ShardedSink>(std::move(SO));
-    Sink = Sharded.get();
-    return;
-  }
-
-  if (ToolCfg) {
+  } else if (ToolCfg) {
     DetectorConfig Cfg = *ToolCfg;
     Cfg.CheckFilter = Opts.CheckFilter;
     // In async mode the tool runs on its own thread while the producer
@@ -84,14 +77,15 @@ DetectionBackend::DetectionBackend(const DetectorConfig *ToolCfg,
                                             Symbols);
   }
   Detectors.bind(Tool.get(), Oracle.get());
-  if (Detectors.empty())
-    return;
-  if (AsyncDetect) {
+  // A sharded run pipelines the oracle on its own thread beside the lanes.
+  if (!Detectors.empty() && (AsyncDetect || Sharded))
     Async = std::make_unique<AsyncSink>(Detectors, RingBatches);
-    Sink = Async.get();
-  } else {
-    Sink = &Detectors;
-  }
+  Fanout.add(Sharded.get());
+  if (Async)
+    Fanout.add(Async.get());
+  else if (!Detectors.empty())
+    Fanout.add(&Detectors);
+  Sink = Fanout.size() > 1 ? &Fanout : Fanout.sole();
 }
 
 DetectionBackend::~DetectionBackend() = default;
@@ -121,19 +115,17 @@ void DetectionBackend::finish() {
 }
 
 double DetectionBackend::detectorSeconds() const {
-  return Async     ? Async->detectorSeconds()
-         : Sharded ? Sharded->detectorSeconds()
-                   : 0.0;
+  return Sharded ? Sharded->detectorSeconds()
+         : Async ? Async->detectorSeconds()
+                 : 0.0;
 }
 
 uint64_t DetectionBackend::batches() const {
-  return Async     ? Async->batchesConsumed()
-         : Sharded ? Sharded->batchesConsumed()
-                   : 0;
+  return (Sharded ? Sharded->batchesConsumed() : 0) +
+         (Async ? Async->batchesConsumed() : 0);
 }
 
 uint64_t DetectionBackend::stalls() const {
-  return Async     ? Async->producerStalls()
-         : Sharded ? Sharded->producerStalls()
-                   : 0;
+  return (Sharded ? Sharded->producerStalls() : 0) +
+         (Async ? Async->producerStalls() : 0);
 }

@@ -10,10 +10,11 @@
 /// config (or none), the oracle flag, the detection knobs and the async
 /// flag into the EventSink a stream feeds — the inline DetectorSink, the
 /// single-thread AsyncSink (DESIGN.md Sec. 10), or the location-partitioned
-/// ShardedSink (Sec. 12) — and the only code that, once the stream is
-/// flushed, drains that sink and fills the run's result. Online runs (the
-/// VM) and offline trace replays share it, together with the knobs
-/// (DetectOptions) and the result fields (DetectResult) it reads and writes.
+/// ShardedSink (Sec. 12) teed with the oracle behind its own AsyncSink —
+/// and the only code that, once the stream is flushed, drains that sink
+/// and fills the run's result. Online runs (the VM) and offline trace
+/// replays share it, together with the knobs (DetectOptions) and the
+/// result fields (DetectResult) it reads and writes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,11 +49,6 @@ struct DetectOptions {
   /// Online, > 0 implies the async pipeline and takes precedence over
   /// AsyncDetect; a run without a tool detector does not shard.
   size_t DetectShards = 0;
-  /// Split-state sync clocks for sharded detection (DESIGN.md Sec. 13):
-  /// sync edges apply once to a shared SyncClockTable and lanes advance a
-  /// horizon stamp. Off falls back to the legacy broadcast fan-out; only
-  /// the fan-out accounting differs.
-  bool SyncTable = true;
 };
 
 /// Shard count for `--detect-shards=auto`: derived from
@@ -62,15 +58,15 @@ struct DetectOptions {
 size_t autoShardCount();
 
 /// Applies \p Arg if it is one of the detection flags `--async-detect`,
-/// `--detect-shards=N|auto` (N in [0, 64]: each shard is a thread),
-/// `--no-sync-table` or `--no-check-filter`; false if it is none of them.
+/// `--detect-shards=N|auto` (N in [0, 64]: each shard is a thread) or
+/// `--no-check-filter`; false if it is none of them.
 /// A malformed shard count exits with an error.
 bool parseDetectFlag(const char *Arg, DetectOptions &Opts, bool &AsyncDetect);
 
 /// Post-drain statistics for one sharded worker lane.
 struct ShardLaneStats {
   uint64_t Events = 0;  ///< Events applied by this lane.
-  uint64_t Markers = 0; ///< Sync markers applied (split-state mode).
+  uint64_t Markers = 0; ///< Sync markers applied.
   uint64_t Batches = 0; ///< Slots published to this lane's ring.
   uint64_t Stalls = 0;  ///< Producer blocked on this lane's full ring.
   uint64_t BusyNs = 0;  ///< Lane thread busy time (waits excluded).
@@ -100,17 +96,16 @@ struct DetectResult {
   /// Filter metadata footprint; summed over lanes when sharded.
   uint64_t FilterTableBytes = 0;
   /// Sharded mode only (DetectShards > 0); empty/zero otherwise. Lanes in
-  /// shard order, the oracle lane excluded.
+  /// shard order.
   std::vector<ShardLaneStats> ShardLanes;
-  /// Fan-out accounting: routed events are delivered once, broadcast
-  /// events to every lane. Broadcast copies are the legacy mode's
-  /// deliveries (events x shards; zero in split-state mode).
+  /// Fan-out accounting: routed events go to one lane; each broadcast
+  /// event is a sync edge applied once to the shared table, which stages
+  /// a marker on every lane.
   uint64_t ShardRoutedEvents = 0;
   uint64_t ShardBroadcastEvents = 0;
-  uint64_t ShardBroadcastCopies = 0;
-  /// Split-state mode (zero in legacy broadcast mode): horizon stamps
-  /// applied across lanes, shared-table snapshot resolutions on check
-  /// paths, snapshots published, and the table's storage footprint.
+  /// Horizon stamps applied across lanes, shared-table snapshot
+  /// resolutions on check paths, snapshots published, and the table's
+  /// storage footprint.
   uint64_t ShardHorizonAdvances = 0;
   uint64_t ShardTableReads = 0;
   uint64_t ShardSyncPublishes = 0;
@@ -122,7 +117,8 @@ struct DetectResult {
 /// The detectors of one run and the sink that feeds them. Sync mode
 /// applies batches inline and the tool bumps the result's Counters
 /// directly; async and sharded modes detect on worker threads into
-/// private Stats that finish() merges.
+/// private Stats that finish() merges. A sharded run with the oracle tees
+/// the stream to the ShardedSink and to an AsyncSink over the oracle.
 class DetectionBackend {
 public:
   /// \p ToolCfg null attaches no tool detector (a base or recording-only
@@ -151,8 +147,9 @@ public:
   void finish();
 
   /// Pipelined modes only (zero in sync mode), valid after finish():
-  /// busy seconds of the detector thread (the busiest lane when sharded),
-  /// batches handed through the rings, and producer backpressure stalls.
+  /// busy seconds of the detector thread (the busiest shard lane when
+  /// sharded), and batches handed through the rings and producer
+  /// backpressure stalls, summed over every ring.
   double detectorSeconds() const;
   uint64_t batches() const;
   uint64_t stalls() const;
@@ -169,6 +166,8 @@ private:
   /// worker threads before anything they reference dies.
   std::unique_ptr<AsyncSink> Async;
   std::unique_ptr<ShardedSink> Sharded;
+  /// Sharded lanes plus the oracle's sink, when both are attached.
+  TeeSink Fanout;
   EventSink *Sink = nullptr;
 };
 

@@ -15,41 +15,26 @@
 using namespace bigfoot;
 
 ShardedSink::ShardedSink(Options O)
-    : NumShards(O.DetectShards < 1 ? 1 : O.DetectShards) {
+    : NumShards(O.DetectShards < 1 ? 1 : O.DetectShards),
+      // Direct array checks read HB state (first-touch clock init the
+      // writer census must mirror); deferred adds do not.
+      TouchArrayChecks(!O.Tool.DeferArrayChecks),
+      ToolFilterOn(O.CheckFilter) {
   size_t RingBatches = std::max<size_t>(2, O.RingBatches);
   O.Tool.CheckFilter = O.CheckFilter;
-  if (O.SyncTable) {
-    Table = std::make_unique<SyncClockTable>();
-    // Direct array checks read HB state (first-touch clock init the
-    // writer census must mirror); deferred adds do not.
-    TouchArrayChecks = !O.Tool.DeferArrayChecks;
-    ToolFilterOn = O.CheckFilter;
-  }
   Shards.reserve(NumShards);
   for (size_t S = 0; S < NumShards; ++S) {
     auto L = std::make_unique<Lane>(RingBatches);
     L->Detector =
         std::make_unique<RaceDetector>(O.Tool, L->Counters, O.Symbols);
-    if (Table)
-      L->Detector->attachSharedSync(Table.get());
+    L->Detector->attachSharedSync(&Table);
     // Redirect memory sampling into the lockstep log; the merge
     // reconstructs the gauges, so shard Stats stay purely summable.
     L->Detector->setMemorySampleLog(&L->Samples);
     Shards.push_back(std::move(L));
   }
-  if (O.Oracle) {
-    DetectorConfig OracleCfg = fastTrackConfig();
-    OracleCfg.CheckFilter = O.CheckFilter;
-    Oracle = std::make_unique<Lane>(RingBatches);
-    Oracle->Detector = std::make_unique<RaceDetector>(
-        OracleCfg, Oracle->Counters, O.Symbols);
-    // No sample log: oracle counters are discarded, exactly as the sync
-    // path discards the ground-truth detector's private Stats.
-  }
   for (auto &L : Shards)
     L->Worker = std::thread([this, Lp = L.get()] { laneLoop(*Lp); });
-  if (Oracle)
-    Oracle->Worker = std::thread([this] { laneLoop(*Oracle); });
 }
 
 ShardedSink::~ShardedSink() {
@@ -57,12 +42,8 @@ ShardedSink::~ShardedSink() {
   Stop.store(true, std::memory_order_release);
   for (auto &L : Shards)
     L->Ring.wakeConsumer();
-  if (Oracle)
-    Oracle->Ring.wakeConsumer();
   for (auto &L : Shards)
     L->Worker.join();
-  if (Oracle)
-    Oracle->Worker.join();
 }
 
 void ShardedSink::stage(Lane &L, const Event &E, const uint32_t *Payload,
@@ -83,7 +64,7 @@ void ShardedSink::stage(Lane &L, const Event &E, const uint32_t *Payload,
   }
   B.Events.push_back(Copy);
   B.Seq.push_back(Seq);
-  B.Horizon.push_back(L.ProducerLastBroadcast);
+  B.Horizon.push_back(L.ProducerLastMarker);
 }
 
 SyncEdgeKind ShardedSink::edgeKindOf(EventKind K) {
@@ -135,57 +116,44 @@ void ShardedSink::consumeBatch(const Event *Events, size_t N,
                                const uint32_t *Payload) {
   for (size_t I = 0; I < N; ++I) {
     const Event &E = Events[I];
+    // Oracle-only events are numbered too: the sequence is the event's
+    // position in the whole stream.
     uint64_t Seq = ++NextSeq;
-    bool Broadcast = isBroadcast(E.Kind);
-    if (Oracle && (E.Target & kTargetOracle))
-      stage(*Oracle, E, Payload, Seq);
-    if (E.Target & kTargetTool) {
-      if (Broadcast) {
-        ++BroadcastEvents;
-        if (Table) {
-          // Split-state mode: apply the edge once, then stage one
-          // compact horizon marker per lane instead of N event copies.
-          SyncEdge Edge;
-          Edge.Kind = edgeKindOf(E.Kind);
-          Edge.Tid = E.Tid;
-          Edge.Obj = E.Obj;
-          Edge.Field = E.Field;
-          Edge.Aux = E.Aux;
-          Edge.Seq = Seq;
-          if (E.PayloadCount) {
-            Edge.Parties = Payload + E.PayloadIndex;
-            Edge.NumParties = E.PayloadCount;
-          }
-          uint64_t HbBytes = Table->apply(Edge);
-          if (ToolFilterOn)
-            FilterInvalidations += invalidationsOf(E.Kind, E.PayloadCount);
-          for (auto &L : Shards)
-            stageMarker(*L, E, Payload, Seq, HbBytes);
-        } else {
-          for (auto &L : Shards) {
-            stage(*L, E, Payload, Seq);
-            ++BroadcastCopies;
-          }
-        }
-      } else {
-        ++RoutedEvents;
-        // First-touch parity: the writer's census must grow exactly when
-        // a single detector's would (checks initialize the acting
-        // thread's clock on their HB read).
-        if (Table && (E.Kind == EventKind::FieldCheck ||
-                      (E.Kind == EventKind::ArrayCheck && TouchArrayChecks)))
-          Table->touchThread(E.Tid);
-        stage(*Shards[shardOf(E.Obj)], E, Payload, Seq);
-      }
+    if (!(E.Target & kTargetTool))
+      continue;
+    if (!isBroadcast(E.Kind)) {
+      ++RoutedEvents;
+      // First-touch parity: the writer's census must grow exactly when a
+      // single detector's would (checks initialize the acting thread's
+      // clock on their HB read).
+      if (E.Kind == EventKind::FieldCheck ||
+          (E.Kind == EventKind::ArrayCheck && TouchArrayChecks))
+        Table.touchThread(E.Tid);
+      stage(*Shards[shardOf(E.Obj)], E, Payload, Seq);
+      continue;
     }
-    // The horizon advances after staging, so a broadcast event's own
-    // horizon is the broadcast before it.
-    if (Broadcast) {
-      if (E.Target & kTargetTool)
-        for (auto &L : Shards)
-          L->ProducerLastBroadcast = Seq;
-      if (Oracle && (E.Target & kTargetOracle))
-        Oracle->ProducerLastBroadcast = Seq;
+    // A sync edge: apply it once, then stage one compact horizon marker
+    // per lane.
+    ++BroadcastEvents;
+    SyncEdge Edge;
+    Edge.Kind = edgeKindOf(E.Kind);
+    Edge.Tid = E.Tid;
+    Edge.Obj = E.Obj;
+    Edge.Field = E.Field;
+    Edge.Aux = E.Aux;
+    Edge.Seq = Seq;
+    if (E.PayloadCount) {
+      Edge.Parties = Payload + E.PayloadIndex;
+      Edge.NumParties = E.PayloadCount;
+    }
+    uint64_t HbBytes = Table.apply(Edge);
+    if (ToolFilterOn)
+      FilterInvalidations += invalidationsOf(E.Kind, E.PayloadCount);
+    for (auto &L : Shards) {
+      stageMarker(*L, E, Payload, Seq, HbBytes);
+      // The horizon advances after staging, so a marker's own horizon is
+      // the marker before it.
+      L->ProducerLastMarker = Seq;
     }
   }
   // Publish once per lane per incoming batch: lanes see batch boundaries
@@ -195,10 +163,6 @@ void ShardedSink::consumeBatch(const Event *Events, size_t N,
       L->Ring.publish();
       L->Open = nullptr;
     }
-  if (Oracle && Oracle->Open) {
-    Oracle->Ring.publish();
-    Oracle->Open = nullptr;
-  }
 }
 
 void ShardedSink::stageMarker(Lane &L, const Event &E,
@@ -211,7 +175,7 @@ void ShardedSink::stageMarker(Lane &L, const Event &E,
   ShardBatch &B = *L.Open;
   ShardBatch::SyncMarker M;
   M.Seq = Seq;
-  M.Horizon = L.ProducerLastBroadcast;
+  M.Horizon = L.ProducerLastMarker;
   M.HbBytes = HbBytes;
   M.Kind = E.Kind;
   M.Tid = E.Tid;
@@ -230,7 +194,7 @@ void ShardedSink::applyMarker(Lane &L, const ShardBatch::SyncMarker &M,
                               const uint32_t *Words) {
   // Same ordering invariant as staged events: every earlier marker must
   // already be applied (structural per-lane FIFO; counted if violated).
-  if (L.LastBroadcastSeq != M.Horizon)
+  if (L.LastMarkerSeq != M.Horizon)
     ++L.OrderViolations;
   RaceDetector &D = *L.Detector;
   D.setEventSeq(M.Seq);
@@ -245,15 +209,13 @@ void ShardedSink::applyMarker(Lane &L, const ShardBatch::SyncMarker &M,
     E.NumParties = M.PayloadCount;
   }
   D.applySyncMarker(E, M.HbBytes);
-  L.LastBroadcastSeq = M.Seq;
+  L.LastMarkerSeq = M.Seq;
   ++L.MarkersApplied;
 }
 
 void ShardedSink::drain() {
   for (auto &L : Shards)
     L->Ring.drain();
-  if (Oracle)
-    Oracle->Ring.drain();
 }
 
 void ShardedSink::laneLoop(Lane &L) {
@@ -265,25 +227,20 @@ void ShardedSink::laneLoop(Lane &L) {
       return; // Stop observed with an empty ring: every slot applied.
     auto T0 = Clock::now();
     const uint32_t *Words = B->Payload.data();
-    // Split-state mode interleaves the marker stream with the event
-    // stream by global sequence (both are staged ascending, the ranges
-    // never overlap); legacy mode has no markers and the loop reduces to
-    // the plain event walk.
+    // Interleave the marker stream with the routed events by global
+    // sequence (both are staged ascending, the ranges never overlap).
     size_t MI = 0, MN = B->Markers.size();
     for (size_t I = 0, N = B->Events.size(); I < N; ++I) {
-      const Event &E = B->Events[I];
       while (MI < MN && B->Markers[MI].Seq < B->Seq[I])
         applyMarker(L, B->Markers[MI++], Words);
-      // Ordering invariant: every broadcast this event was published
-      // after must already be applied. The per-lane FIFO makes this
-      // structural; the check turns any future regression into a counted
-      // violation instead of a silent wrong answer.
-      if (L.LastBroadcastSeq != B->Horizon[I])
+      // Ordering invariant: every marker this event was published after
+      // must already be applied. The per-lane FIFO makes this structural;
+      // the check turns any future regression into a counted violation
+      // instead of a silent wrong answer.
+      if (L.LastMarkerSeq != B->Horizon[I])
         ++L.OrderViolations;
       D.setEventSeq(B->Seq[I]);
-      applyEvent(D, E, Words);
-      if (isBroadcast(E.Kind))
-        L.LastBroadcastSeq = B->Seq[I];
+      applyEvent(D, B->Events[I], Words);
     }
     while (MI < MN)
       applyMarker(L, B->Markers[MI++], Words);
@@ -297,13 +254,12 @@ void ShardedSink::laneLoop(Lane &L) {
 
 void ShardedSink::finish(DetectResult &R) {
   // The run-end sample, in lockstep across shards (the producer appends
-  // it after drain, so every lane has applied its whole stream). In
-  // split-state mode the HB component is the writer's final census —
-  // it may have grown past the last published edge via first-touch
-  // inits on trailing routed checks, exactly like a sync detector's.
+  // it after drain, so every lane has applied its whole stream). The HB
+  // component is the writer's final census — it may have grown past the
+  // last published edge via first-touch inits on trailing routed checks,
+  // exactly like a sync detector's.
   for (auto &L : Shards) {
-    if (Table)
-      L->Detector->syncSharedHbBytes(Table->hbBytes());
+    L->Detector->syncSharedHbBytes(Table.hbBytes());
     L->Detector->sampleMemoryNow();
   }
 
@@ -315,10 +271,11 @@ void ShardedSink::finish(DetectResult &R) {
     for (const auto &[Name, Value] : L->Counters.all())
       R.Counters.bump(Name, Value);
 
-  // Peak gauges: recombine sample k across shards — HB bytes are
-  // replica-identical (max is defensive), shadow bytes and locations are
-  // partitioned sums — then take the max over k, exactly what one
-  // detector's gaugeMax over the undivided census computes.
+  // Peak gauges: recombine sample k across shards — HB bytes are the
+  // shared table's (equal in every lane; max is defensive), shadow bytes
+  // and locations are partitioned sums — then take the max over k,
+  // exactly what one detector's gaugeMax over the undivided census
+  // computes.
   size_t MaxSamples = 0;
   for (auto &L : Shards)
     MaxSamples = std::max(MaxSamples, L->Samples.size());
@@ -367,11 +324,11 @@ void ShardedSink::finish(DetectResult &R) {
 
   // Filter effectiveness merge; lane accounting for the [shards] summary.
   // Hit/miss/extend tallies come from routed checks, which land on
-  // exactly one shard's filter — summing reproduces the sync values.
-  // Invalidations count release edges, which are broadcast: every lane's
-  // tally already equals the sync value, so take it from one lane, not N.
+  // exactly one shard's filter. Invalidations count release edges, which
+  // the producer tallies once (lanes tick generations without counting).
   // Table bytes are genuinely replicated per lane; the sum is the honest
   // metadata footprint of the sharded run.
+  R.Filter.Invalidations = FilterInvalidations;
   for (auto &L : Shards) {
     R.FilterEnabled = R.FilterEnabled || L->Detector->filterEnabled();
     CheckFilterStats F = L->Detector->filterStats();
@@ -379,10 +336,6 @@ void ShardedSink::finish(DetectResult &R) {
     R.Filter.FieldMisses += F.FieldMisses;
     R.Filter.ArrayHits += F.ArrayHits;
     R.Filter.ArrayMisses += F.ArrayMisses;
-    // Split-state mode counts each release edge once, producer-side
-    // (lanes tick generations without tallying); legacy mode takes one
-    // lane's tally (every lane replayed every edge).
-    R.Filter.Invalidations = Table ? FilterInvalidations : F.Invalidations;
     R.Filter.RangeExtends += F.RangeExtends;
     R.FilterTableBytes += L->Detector->filterTableBytes();
 
@@ -397,18 +350,10 @@ void ShardedSink::finish(DetectResult &R) {
     R.ShardTableReads += L->Detector->sharedSyncReads();
     R.ShardOrderViolations += L->OrderViolations;
   }
-  if (Oracle) {
-    R.GroundTruthRaces = Oracle->Detector->races();
-    R.GroundTruthRacyLocations = Oracle->Detector->racyLocationKeys();
-    R.ShardOrderViolations += Oracle->OrderViolations;
-  }
   R.ShardRoutedEvents = RoutedEvents;
   R.ShardBroadcastEvents = BroadcastEvents;
-  R.ShardBroadcastCopies = BroadcastCopies;
-  if (Table) {
-    R.ShardSyncPublishes = Table->publishes();
-    R.ShardSyncTableBytes = Table->tableBytes();
-  }
+  R.ShardSyncPublishes = Table.publishes();
+  R.ShardSyncTableBytes = Table.tableBytes();
 }
 
 double ShardedSink::detectorSeconds() const {
@@ -419,14 +364,14 @@ double ShardedSink::detectorSeconds() const {
 }
 
 uint64_t ShardedSink::batchesConsumed() const {
-  uint64_t N = Oracle ? Oracle->Ring.published() : 0;
+  uint64_t N = 0;
   for (const auto &L : Shards)
     N += L->Ring.published();
   return N;
 }
 
 uint64_t ShardedSink::producerStalls() const {
-  uint64_t N = Oracle ? Oracle->Ring.fullStalls() : 0;
+  uint64_t N = 0;
   for (const auto &L : Shards)
     N += L->Ring.fullStalls();
   return N;

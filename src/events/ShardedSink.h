@@ -6,49 +6,42 @@
 ///
 /// \file
 /// The sharded detection backend (DESIGN.md Sec. 12): the typed event
-/// stream fans out to N detector worker threads, each owning a full
-/// RaceDetector replica whose shadow state covers a disjoint partition of
-/// the program's locations. Check events (field checks, array checks,
-/// array allocations) route to exactly one shard by a hash of their
-/// object id — object granularity, so coalesced multi-field checks stay
-/// atomic, per-object slot arrays stay whole, and every partitioned
-/// counter sums across shards to exactly the single-detector value.
-/// Synchronization events (acquire/release, volatiles, fork/join,
-/// barrier, thread lifecycle, periodic commits) take one of two paths:
+/// stream fans out to N detector worker threads, each owning a RaceDetector
+/// replica whose shadow state covers a disjoint partition of the program's
+/// locations. Check events (field checks, array checks, array allocations)
+/// route to exactly one shard by a hash of their object id — object
+/// granularity, so coalesced multi-field checks stay atomic, per-object
+/// slot arrays stay whole, and every partitioned counter sums across
+/// shards to exactly the single-detector value.
 ///
-///   * Split-state mode (Options::SyncTable, the default; DESIGN.md
-///     Sec. 13): the producer applies each sync edge ONCE to a shared
-///     SyncClockTable — publishing the mutated thread clocks as
-///     versioned snapshots — and stages only a compact SyncMarker per
-///     lane (sequence, horizon, post-edge HB census, decoded edge).
-///     Lanes advance their sync horizon, commit deferred footprints,
-///     tick filter generations, and sample memory off the marker, while
-///     every HB read on the check path resolves against the table at
-///     the lane's horizon. BroadcastCopies stays 0; CheckFilter
-///     invalidations are counted once, producer-side.
-///   * Legacy broadcast mode (SyncTable off): every sync event is
-///     copied to all lanes and each replica's HbState replays it, as
-///     PR 9 shipped — kept for the before/after amplification bench.
+/// Synchronization events (acquire/release, volatiles, fork/join, barrier,
+/// thread lifecycle, periodic commits) never reach a lane as events
+/// (DESIGN.md Sec. 13): the producer applies each sync edge ONCE to a
+/// shared SyncClockTable — publishing the mutated thread clocks as
+/// versioned snapshots — and stages only a compact SyncMarker per lane
+/// (sequence, horizon, post-edge HB census, decoded edge). Lanes advance
+/// their sync horizon, commit deferred footprints, tick filter
+/// generations, and sample memory off the marker, while every HB read on
+/// the check path resolves against the table at the lane's horizon.
+/// CheckFilter invalidations are counted once, producer-side.
 ///
-/// Both modes produce byte-identical merged results.
-///
-/// Every event carries a producer-assigned global sequence number through
-/// its shard's SPSC ring, and every staged event additionally carries the
-/// sequence of the last broadcast event staged to that lane (its sync
-/// horizon). A worker checks the horizon against the last broadcast it
-/// applied before touching the detector — the enforcement of the ordering
-/// invariant that a shard never processes an access published after a
-/// sync edge it has not applied yet (structurally guaranteed by the
-/// per-lane FIFO; violations are counted, and the differential tests
-/// assert zero).
+/// Every routed event carries a producer-assigned global sequence number
+/// through its shard's SPSC ring, plus the sequence of the last marker
+/// staged to that lane before it (its sync horizon). A worker checks the
+/// horizon against the last marker it applied before touching the
+/// detector — the enforcement of the ordering invariant that a shard never
+/// processes an access published after a sync edge it has not applied yet
+/// (structurally guaranteed by the per-lane FIFO; violations are counted,
+/// and the differential tests assert zero).
 ///
 /// finish() merges the shards back into one result that is byte-identical
-/// to the sync/async-1 paths: counters sum (every partitioned counter is
-/// bumped in exactly one shard), peak-memory gauges are reconstructed
-/// from lockstep per-shard sample logs (max of the replicated HB bytes
-/// plus the sum of the partitioned shadow bytes, per sample point), and
-/// races merge by a stable sort on their RaceOrder keys (first-occurrence
-/// stream position).
+/// to the sync/async paths: counters sum (every partitioned counter is
+/// bumped in exactly one shard), peak-memory gauges are reconstructed from
+/// lockstep per-shard sample logs (the shared HB bytes plus the sum of the
+/// partitioned shadow bytes, per sample point), and races merge by a
+/// stable sort on their RaceOrder keys (first-occurrence stream position).
+/// The per-access oracle is not this sink's business: DetectionBackend
+/// runs it beside the shards behind its own AsyncSink.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,22 +62,23 @@
 
 namespace bigfoot {
 
-/// One ring slot of the fan-out: an event batch plus the per-event
-/// sequence stamps the merge and the ordering check need.
+/// One ring slot of the fan-out: the lane's routed events plus the
+/// per-event sequence stamps the merge and the ordering check need, and
+/// the sync markers staged between them.
 struct ShardBatch {
   std::vector<Event> Events;
   std::vector<uint32_t> Payload;
   /// Global stream sequence of each event (1-based, all lanes share the
   /// numbering).
   std::vector<uint64_t> Seq;
-  /// Sequence of the last broadcast event staged to this lane before
-  /// each event — the sync edge the event depends on.
+  /// Sequence of the last marker staged to this lane before each event
+  /// — the sync edge the event depends on.
   std::vector<uint64_t> Horizon;
 
-  /// A sync edge in split-state mode: not an event copy — the clocks
-  /// were already applied table-side — just the stamp a lane needs to
-  /// advance its horizon plus the decoded edge for footprint commits,
-  /// filter ticks, and memory samples. Barrier party lists live in the
+  /// A sync edge: not an event copy — the clocks were already applied
+  /// table-side — just the stamp a lane needs to advance its horizon
+  /// plus the decoded edge for footprint commits, filter ticks, and
+  /// memory samples. Barrier party lists live in the
   /// batch's payload arena.
   struct SyncMarker {
     uint64_t Seq = 0;
@@ -117,9 +111,7 @@ struct ShardBatch {
 class ShardedSink final : public EventSink {
 public:
   /// The detection knobs: DetectShards is the worker count (clamped to
-  /// >= 1), SyncTable selects split-state mode (DESIGN.md Sec. 13) over
-  /// the legacy broadcast fan-out, and CheckFilter applies to every
-  /// replica and the oracle.
+  /// >= 1) and CheckFilter applies to every replica.
   struct Options : DetectOptions {
     /// Per-lane ring depth in batches (clamped to >= 2).
     size_t RingBatches = kDefaultAsyncRingBatches;
@@ -128,13 +120,9 @@ public:
     DetectorConfig Tool;
     /// Seeds each replica's field-id namespace (may be null).
     const SymbolTable *Symbols = nullptr;
-    /// Attach the per-access ground-truth FastTrack oracle on its own
-    /// dedicated lane. The oracle is never sharded: it receives every
-    /// oracle-targeted event in stream order.
-    bool Oracle = false;
   };
 
-  /// Spawns the worker threads (one per shard, plus the oracle lane).
+  /// Spawns the worker threads, one per shard.
   explicit ShardedSink(Options O);
 
   /// Drains, stops, and joins every lane.
@@ -143,10 +131,9 @@ public:
   ShardedSink(const ShardedSink &) = delete;
   ShardedSink &operator=(const ShardedSink &) = delete;
 
-  size_t shards() const { return NumShards; }
-
-  /// Producer side: splits the batch across the lanes (routing checks,
-  /// broadcasting sync) and publishes one slot per lane that received
+  /// Producer side: routes the batch's tool-targeted checks to their
+  /// lanes, applies its sync edges to the table (staging a marker on
+  /// every lane), and publishes one slot per lane that received
   /// anything. Blocks on any full lane ring (backpressure).
   void consumeBatch(const Event *Events, size_t N,
                     const uint32_t *Payload) override;
@@ -156,10 +143,9 @@ public:
 
   /// Merges the shards into \p R in single-detector shape: summed tool.*
   /// counters plus the reconstructed peak gauges bumped into R.Counters
-  /// (byte-identical to one detector's Stats), tool and oracle races, and
-  /// the filter and shard stats. Call once, after drain(), from the
-  /// producer thread; workers are idle by then, so replica state is safe
-  /// to read.
+  /// (byte-identical to one detector's Stats), tool races, and the filter
+  /// and shard stats. Call once, after drain(), from the producer thread;
+  /// workers are idle by then, so replica state is safe to read.
   void finish(DetectResult &R);
 
   /// Busy seconds of the busiest shard lane — the detection critical
@@ -167,7 +153,7 @@ public:
   double detectorSeconds() const;
 
   /// Slots published and producer backpressure stalls, summed over every
-  /// lane including the oracle's. Valid after drain().
+  /// lane. Valid after drain().
   uint64_t batchesConsumed() const;
   uint64_t producerStalls() const;
 
@@ -184,18 +170,19 @@ private:
     uint64_t BusyNs = 0;
     uint64_t EventsApplied = 0;
     uint64_t MarkersApplied = 0;
-    uint64_t LastBroadcastSeq = 0;
+    uint64_t LastMarkerSeq = 0;
     uint64_t OrderViolations = 0;
     /// Producer side: slot being staged during the current incoming
     /// batch, and the horizon for events staged to this lane.
     ShardBatch *Open = nullptr;
-    uint64_t ProducerLastBroadcast = 0;
+    uint64_t ProducerLastMarker = 0;
 
     explicit Lane(size_t RingBatches) : Ring(RingBatches) {}
   };
 
-  /// True for event kinds every shard must see (sync edges, lifecycle,
-  /// commits); false for the location-routed check/alloc kinds.
+  /// True for the event kinds every shard must see as a marker (sync
+  /// edges, lifecycle, commits); false for the location-routed
+  /// check/alloc kinds.
   static bool isBroadcast(EventKind K) {
     return K != EventKind::FieldCheck && K != EventKind::ArrayCheck &&
            K != EventKind::ArrayAlloc;
@@ -212,8 +199,8 @@ private:
 
   void stage(Lane &L, const Event &E, const uint32_t *Payload, uint64_t Seq);
 
-  /// Split-state mode: stages the compact marker for an already-applied
-  /// sync edge to \p L (party payload copied into the lane's arena).
+  /// Stages the compact marker for an already-applied sync edge to \p L
+  /// (party payload copied into the lane's arena).
   void stageMarker(Lane &L, const Event &E, const uint32_t *Payload,
                    uint64_t Seq, uint64_t HbBytes);
 
@@ -223,36 +210,32 @@ private:
 
   void laneLoop(Lane &L);
 
-  /// Event kind -> runtime sync-edge kind (split-state mode).
+  /// Event kind -> runtime sync-edge kind.
   static SyncEdgeKind edgeKindOf(EventKind K);
 
   /// CheckFilter invalidations the owned-mode handler for this edge
   /// would tally (Fork hits two threads, Barrier every party) — counted
-  /// once, producer-side, in split-state mode.
+  /// once, producer-side.
   static uint64_t invalidationsOf(EventKind K, uint32_t PayloadCount);
 
   size_t NumShards;
-  /// Shard lanes [0, NumShards); the oracle lane, when attached, is a
-  /// separate member so shard indexing stays direct.
+  /// The shared sync-clock table. Written only by the producer; lanes
+  /// read published snapshots. Declared before the lanes, so it outlives
+  /// every replica that reads it.
+  SyncClockTable Table;
   std::vector<std::unique_ptr<Lane>> Shards;
-  std::unique_ptr<Lane> Oracle;
-  /// Split-state mode: the shared sync-clock table (null in legacy
-  /// broadcast mode). Written only by the producer; lanes read published
-  /// snapshots. Outlives the lane threads (joined in the destructor).
-  std::unique_ptr<SyncClockTable> Table;
   /// Routed array checks touch the writer clock only when applied
   /// directly (deferred footprint adds never read HB state).
   bool TouchArrayChecks = true;
   /// Whether lane replicas run a CheckFilter (gates the producer-side
   /// invalidation tally).
   bool ToolFilterOn = false;
-  /// Producer-side invalidation tally (split-state mode, filter on).
+  /// Producer-side invalidation tally (filter on).
   uint64_t FilterInvalidations = 0;
   std::atomic<bool> Stop{false};
   uint64_t NextSeq = 0; ///< Producer-side global event numbering.
   uint64_t RoutedEvents = 0;
   uint64_t BroadcastEvents = 0;
-  uint64_t BroadcastCopies = 0;
 };
 
 } // namespace bigfoot

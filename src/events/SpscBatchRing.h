@@ -59,7 +59,12 @@ struct EventBatch {
       if (End > PayloadWords)
         PayloadWords = End;
     }
-    Payload.assign(Words, Words + PayloadWords);
+    // A batch without payload may come with a null arena; never hand
+    // that to assign (GCC 12 flags the null memmove source at -O2).
+    if (Words)
+      Payload.assign(Words, Words + PayloadWords);
+    else
+      Payload.clear();
   }
 };
 

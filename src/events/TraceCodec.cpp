@@ -37,7 +37,7 @@ int64_t unzigzag(uint64_t V) {
 
 TraceWriter::TraceWriter(const SymbolTable &Symbols,
                          const DetectorConfig &Config) {
-  Buf.insert(Buf.end(), kMagic, kMagic + 4);
+  Buf.assign(kMagic, kMagic + 4);
 
   putByte(kSecSymbols);
   putVar(Symbols.size());

@@ -108,10 +108,10 @@ runSuite(SuiteScale Scale,
 double geomeanOverhead(const std::vector<double> &Overheads);
 
 /// Parses --small/--iters=N/--seed=N/--jobs=N/--ast/--replay/--no-replay/
-/// --record-dir=DIR/--async-detect/--detect-shards=N|auto/--no-sync-table/
-/// --no-check-filter/--workload=NAME command-line options shared by the
-/// bench binaries. Numeric values are strict (see parseNumericFlag): a
-/// malformed or out-of-range value exits with an error.
+/// --record-dir=DIR/--async-detect/--detect-shards=N|auto/--no-check-filter/
+/// --workload=NAME command-line options shared by the bench binaries.
+/// Numeric values are strict (see parseNumericFlag): a malformed or
+/// out-of-range value exits with an error.
 struct BenchArgs {
   SuiteScale Scale = SuiteScale::Bench;
   ExperimentOptions Opts;

@@ -470,14 +470,8 @@ void RaceDetector::onJoin(ThreadId Joiner, ThreadId Joined) {
 
 void RaceDetector::onBarrier(const std::vector<ThreadId> &Parties) {
   assert(!SharedSync && "shared-sync mode takes sync edges as markers");
-  // Parties commit in party order; the index is the RaceOrder tiebreak
-  // that keeps commit races from different parties mergeable in this
-  // exact order when the parties' arrays live in different shards.
-  for (size_t I = 0; I < Parties.size(); ++I) {
-    CurrentParty = I;
-    commitFootprints(Parties[I]);
-  }
-  CurrentParty = 0;
+  for (ThreadId T : Parties)
+    commitFootprints(T);
   Hb.onBarrier(Parties);
   if (Filter)
     for (ThreadId T : Parties)
@@ -639,8 +633,10 @@ void RaceDetector::applySyncMarker(const SyncEdge &E, uint64_t HbBytesAfter) {
       Filter->tickThread(E.Tid);
     break;
   case SyncEdgeKind::Barrier:
-    // Parties commit in party order with the RaceOrder tiebreak index,
-    // matching onBarrier.
+    // Parties commit in party order, as in onBarrier; the index is the
+    // RaceOrder tiebreak that keeps commit races from different parties
+    // mergeable in this exact order when the parties' arrays live in
+    // different shards.
     for (size_t I = 0; I < E.NumParties; ++I) {
       CurrentParty = I;
       commitFootprints(E.Parties[I]);

@@ -196,8 +196,8 @@ public:
   /// Where a race sits in the stream, for the sharded merge (DESIGN.md
   /// Sec. 12): the global sequence of the event whose application
   /// reported it, plus two sub-event components that break ties when one
-  /// broadcast sync edge commits deferred footprints in several shards at
-  /// once — the barrier party index (threads commit in party order) and
+  /// sync marker commits deferred footprints in several shards at once —
+  /// the barrier party index (threads commit in party order) and
   /// the global sequence of the routed event that first inserted the
   /// committed footprint entry (entries commit in insertion order, and
   /// insertion order restricted to one shard's arrays equals the global
@@ -241,21 +241,23 @@ public:
   void sampleMemoryNow();
 
   /// One memory sample, split the way the sharded merge needs it: the HB
-  /// component is replicated per shard (counted once, as a max), the
-  /// shadow component is partitioned (summed across shards).
+  /// component is the shared table's, equal in every shard (counted once,
+  /// as a max), the shadow component is partitioned (summed across
+  /// shards).
   struct MemorySample {
-    size_t HbBytes = 0;      ///< Hb.memoryBytes() — replica-identical.
+    size_t HbBytes = 0;      ///< Shared HB census — equal in every shard.
     size_t PartialBytes = 0; ///< Field + array + pending — partitioned.
     size_t Locations = 0;    ///< shadowLocationCount() — partitioned.
   };
 
   /// Redirects memory sampling into \p Log instead of the gauge counters.
-  /// Sample points are driven entirely by broadcast synchronization events
-  /// plus the run-end sample, so every shard of a sharded run appends the
-  /// same number of samples at the same stream positions; the merge
-  /// recombines sample k across shards as max(HbBytes) + sum(PartialBytes)
-  /// and takes the gauge max over k — byte-identical to a single detector
-  /// sampling the undivided shadow state (DESIGN.md Sec. 12).
+  /// Sample points are driven entirely by sync markers, which every shard
+  /// receives, plus the run-end sample, so every shard of a sharded run
+  /// appends the same number of samples at the same stream positions; the
+  /// merge recombines sample k across shards as max(HbBytes) +
+  /// sum(PartialBytes) and takes the gauge max over k — byte-identical to
+  /// a single detector sampling the undivided shadow state (DESIGN.md
+  /// Sec. 12).
   void setMemorySampleLog(std::vector<MemorySample> *Log) {
     SampleLog = Log;
   }

@@ -32,6 +32,7 @@
 #include "bfj/Program.h"
 #include "events/DetectionBackend.h"
 #include "events/EventSink.h"
+#include "events/SpscBatchRing.h"
 #include "runtime/Detector.h"
 #include "support/Rng.h"
 
@@ -79,7 +80,7 @@ struct VmOptions : DetectOptions {
   bool AsyncDetect = false;
   /// Ring depth in batches for AsyncDetect and for each sharded lane
   /// (clamped to >= 2).
-  size_t AsyncRingBatches = 16;
+  size_t AsyncRingBatches = kDefaultAsyncRingBatches;
 };
 
 /// One entry of the recorded event trace (RecordEventTrace). Location

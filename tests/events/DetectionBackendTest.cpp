@@ -122,21 +122,17 @@ TEST(DetectionBackend, EveryModeFillsTheSameResult) {
   EXPECT_TRUE(Async.R.ShardLanes.empty());
   EXPECT_GT(Async.Batches, 0u);
 
-  for (bool SyncTable : {true, false}) {
-    for (size_t Shards : {size_t(1), size_t(3)}) {
-      std::string Tag = "shards" + std::to_string(Shards) +
-                        (SyncTable ? "" : "/broadcast");
-      DetectOptions SO;
-      SO.DetectShards = Shards;
-      SO.SyncTable = SyncTable;
-      // Sharding takes precedence over the async flag.
-      for (bool AsyncFlag : {false, true}) {
-        Outcome Sharded = detect(&Tool, true, SO, AsyncFlag);
-        expectSameReport(Tag, Sync.R, Sharded.R);
-        EXPECT_EQ(Sharded.R.ShardLanes.size(), Shards) << Tag;
-        EXPECT_EQ(Sharded.R.ShardOrderViolations, 0u) << Tag;
-        EXPECT_GT(Sharded.Batches, 0u) << Tag;
-      }
+  for (size_t Shards : {size_t(1), size_t(3)}) {
+    std::string Tag = "shards" + std::to_string(Shards);
+    DetectOptions SO;
+    SO.DetectShards = Shards;
+    // Sharding takes precedence over the async flag.
+    for (bool AsyncFlag : {false, true}) {
+      Outcome Sharded = detect(&Tool, true, SO, AsyncFlag);
+      expectSameReport(Tag, Sync.R, Sharded.R);
+      EXPECT_EQ(Sharded.R.ShardLanes.size(), Shards) << Tag;
+      EXPECT_EQ(Sharded.R.ShardOrderViolations, 0u) << Tag;
+      EXPECT_GT(Sharded.Batches, 0u) << Tag;
     }
   }
 
@@ -195,7 +191,28 @@ TEST(DetectionBackend, OracleOnlyRunDoesNotShard) {
   EXPECT_EQ(O.Batches, 0u);
 }
 
-TEST(DetectionBackend, ParsesTheFourDetectionFlags) {
+// A sharded run with the oracle attached, destroyed mid-stream without
+// finish(): the shard lanes and the oracle's own detector thread are
+// joined with events still in flight. Shallow rings make teardown overlap
+// busy workers, and every shard count runs several rounds so the
+// sanitizer jobs see each shutdown interleaving.
+TEST(DetectionBackend, ShardedOracleTeardownWithoutFinish) {
+  DetectorConfig Tool = fastTrackConfig();
+  RacyStream S;
+  for (int Round = 0; Round < 12; ++Round) {
+    DetectOptions Opts;
+    Opts.DetectShards = 1 + size_t(Round) % 4;
+    DetectResult R;
+    DetectionBackend Backend(&Tool, /*WithOracle=*/true, Opts,
+                             /*AsyncDetect=*/false, /*RingBatches=*/2,
+                             &S.Symbols, R);
+    ASSERT_NE(Backend.sink(), nullptr);
+    for (int Pass = 0; Pass < 4; ++Pass)
+      feed(*Backend.sink(), S, 3);
+  } // Destructor: drain + stop + join every thread, no finish().
+}
+
+TEST(DetectionBackend, ParsesTheDetectionFlags) {
   DetectOptions Opts;
   bool Async = false;
   EXPECT_TRUE(parseDetectFlag("--async-detect", Opts, Async));
@@ -204,8 +221,6 @@ TEST(DetectionBackend, ParsesTheFourDetectionFlags) {
   EXPECT_EQ(Opts.DetectShards, 5u);
   EXPECT_TRUE(parseDetectFlag("--detect-shards=auto", Opts, Async));
   EXPECT_EQ(Opts.DetectShards, autoShardCount());
-  EXPECT_TRUE(parseDetectFlag("--no-sync-table", Opts, Async));
-  EXPECT_FALSE(Opts.SyncTable);
   EXPECT_TRUE(parseDetectFlag("--no-check-filter", Opts, Async));
   EXPECT_FALSE(Opts.CheckFilter);
   // Anything else is left to the caller.

@@ -135,7 +135,7 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
 
         // Sharded detection (DESIGN.md Sec. 12): the same stream fanned
         // out to location-partitioned detector workers, merged back.
-        // Two shards at Test scale exercises routing, broadcast, and
+        // Two shards at Test scale exercises routing, sync markers, and
         // the merge on every cell of the grid.
         VmOptions ShardOpts;
         ShardOpts.Seed = Seed;
@@ -146,25 +146,11 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         VmResult Sharded = runProgram(*IP.Prog, IP.Tool, ShardOpts);
         expectSameResult(Tag + " inline-vs-sharded2", Inline, Sharded);
         EXPECT_EQ(Sharded.ShardOrderViolations, 0u) << Tag;
-        // Split-state mode (the default, DESIGN.md Sec. 13): sync edges
-        // apply once to the shared SyncClockTable, so nothing fans out —
-        // each lane sees one horizon marker per broadcast event instead
-        // of a replayed copy.
-        EXPECT_EQ(Sharded.ShardBroadcastCopies, 0u) << Tag;
+        // Sync edges apply once to the shared SyncClockTable (DESIGN.md
+        // Sec. 13): each lane sees one horizon marker per sync edge.
         EXPECT_EQ(Sharded.ShardHorizonAdvances,
                   Sharded.ShardBroadcastEvents * 2)
             << Tag;
-
-        // The legacy broadcast fan-out (PR 9) must stay byte-identical
-        // too, with its events x shards copy accounting.
-        VmOptions BcastOpts = ShardOpts;
-        BcastOpts.SyncTable = false;
-        VmResult Bcast = runProgram(*IP.Prog, IP.Tool, BcastOpts);
-        expectSameResult(Tag + " inline-vs-broadcast2", Inline, Bcast);
-        EXPECT_EQ(Bcast.ShardOrderViolations, 0u) << Tag;
-        EXPECT_EQ(Bcast.ShardBroadcastCopies, Bcast.ShardBroadcastEvents * 2)
-            << Tag;
-        EXPECT_EQ(Bcast.ShardHorizonAdvances, 0u) << Tag;
 
         // Offline replay of the recorded trace, batched...
         ReplayOptions RO;
@@ -301,17 +287,15 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
                          Sync, A);
         // The merged filter line is part of the CLI report the byte-diff
         // smokes compare: hit/miss/extend tallies partition across the
-        // lanes (routed checks) and invalidations are broadcast-driven
-        // (every lane equals sync), so all must reproduce exactly.
+        // lanes (routed checks) and invalidations are tallied once per
+        // sync edge by the producer, so all must reproduce exactly.
         EXPECT_EQ(A.Filter.hits(), Sync.Filter.hits()) << Tag;
         EXPECT_EQ(A.Filter.misses(), Sync.Filter.misses()) << Tag;
         EXPECT_EQ(A.Filter.Invalidations, Sync.Filter.Invalidations) << Tag;
         EXPECT_EQ(A.Filter.RangeExtends, Sync.Filter.RangeExtends) << Tag;
         EXPECT_EQ(A.ShardOrderViolations, 0u) << Tag;
-        // Split-state default: zero broadcast copies, one horizon marker
-        // per lane per broadcast event, and lane event tallies are
-        // exactly the routed partition.
-        EXPECT_EQ(A.ShardBroadcastCopies, 0u) << Tag;
+        // One horizon marker per lane per sync edge, and lane event
+        // tallies are exactly the routed partition.
         EXPECT_EQ(A.ShardHorizonAdvances, A.ShardBroadcastEvents * Shards)
             << Tag;
         EXPECT_EQ(A.ShardLanes.size(), Shards) << Tag;
@@ -327,24 +311,6 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
         // depend on worker scheduling.
         VmResult B = runProgram(*IP.Prog, IP.Tool, SO);
         expectSameResult(Tag + " rerun-shards" + std::to_string(Shards), A, B);
-
-        // The legacy broadcast path stays wired and byte-identical, with
-        // the PR 9 events x shards copy accounting.
-        VmOptions LO = SO;
-        LO.SyncTable = false;
-        VmResult C = runProgram(*IP.Prog, IP.Tool, LO);
-        expectSameResult(Tag + " broadcast-shards" + std::to_string(Shards),
-                         Sync, C);
-        EXPECT_EQ(C.ShardOrderViolations, 0u) << Tag;
-        EXPECT_EQ(C.ShardBroadcastCopies, C.ShardBroadcastEvents * Shards)
-            << Tag;
-        EXPECT_EQ(C.ShardHorizonAdvances, 0u) << Tag;
-        uint64_t BcastLaneEvents = 0;
-        for (const ShardLaneStats &L : C.ShardLanes)
-          BcastLaneEvents += L.Events;
-        EXPECT_EQ(BcastLaneEvents,
-                  C.ShardRoutedEvents + C.ShardBroadcastCopies)
-            << Tag;
       }
     }
   }
@@ -353,9 +319,8 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
 // Lock-heavy leg of the differential grid: a synthetic lock-churn
 // program where sync edges outnumber checks by design — three workers
 // ping-ponging over two locks and a volatile flag between barrier
-// phases. This is the workload shape the split-state table exists for
-// (PR 9 broadcast amplification was worst here), so every dispatch mode
-// and both sync-state modes must agree byte-for-byte, and the marker
+// phases. This is the workload shape the shared sync-clock table exists
+// for, so every dispatch mode must agree byte-for-byte, and the marker
 // path must carry essentially all of the traffic.
 TEST(EventStreamEquivalence, LockChurnAgreesAcrossModesAndSyncState) {
   const char *Source = R"(
@@ -439,7 +404,6 @@ thread {
         std::string STag = Tag + "/shards" + std::to_string(Shards);
         expectSameResult(STag + " inline-vs-sharded", Inline, Sharded);
         EXPECT_EQ(Sharded.ShardOrderViolations, 0u) << STag;
-        EXPECT_EQ(Sharded.ShardBroadcastCopies, 0u) << STag;
         EXPECT_EQ(Sharded.ShardHorizonAdvances,
                   Sharded.ShardBroadcastEvents * Shards)
             << STag;
@@ -449,14 +413,6 @@ thread {
             << STag;
         EXPECT_GT(Sharded.ShardSyncPublishes, 0u) << STag;
         EXPECT_GT(Sharded.ShardSyncTableBytes, 0u) << STag;
-
-        VmOptions LO = SO;
-        LO.SyncTable = false;
-        VmResult Bcast = runProgram(*IP.Prog, IP.Tool, LO);
-        expectSameResult(STag + " inline-vs-broadcast", Inline, Bcast);
-        EXPECT_EQ(Bcast.ShardBroadcastCopies,
-                  Bcast.ShardBroadcastEvents * Shards)
-            << STag;
       }
     }
   }

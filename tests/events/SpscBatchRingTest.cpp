@@ -317,9 +317,9 @@ TEST(AsyncSink, EmptyBatchesAndDestructorDrain) {
 
 //===--- ShardedSink ----------------------------------------------------------
 
-// The fan-out sink's destructor without finish(): N worker lanes (and an
-// oracle lane) are joined mid-stream, with shallow rings so teardown
-// overlaps busy workers. Exercised across shard counts and many rounds
+// The fan-out sink's destructor without finish(): N worker lanes are
+// joined mid-stream, with shallow rings so teardown overlaps busy
+// workers. Exercised across shard counts and many rounds
 // so the sanitizer jobs see every lane-shutdown interleaving; finish()'s
 // merge is deliberately skipped — abandoning a sharded run must still
 // shut down cleanly.
@@ -329,11 +329,10 @@ TEST(ShardedSink, DestructorWithoutFinishJoinsAllLanes) {
     SO.DetectShards = 1 + size_t(Round) % 4;
     SO.RingBatches = 2;
     SO.Tool = fastTrackConfig();
-    SO.Oracle = Round % 2 == 0;
     ShardedSink Sink(std::move(SO));
 
     // A mix of routed checks (spread over objects, so every lane gets
-    // work) and broadcast sync edges, in several small batches.
+    // work) and sync edges, in several small batches.
     std::vector<Event> Batch;
     std::vector<uint32_t> Payload;
     for (int B = 0; B < 6; ++B) {
@@ -362,19 +361,14 @@ TEST(ShardedSink, DestructorWithoutFinishJoinsAllLanes) {
 
 // finish() after the same traffic is complete and deterministic: the
 // merged counters must partition-sum identically no matter how lane
-// scheduling interleaved, and the ordering invariant must hold. Rounds
-// alternate between split-state (sync table) and legacy broadcast mode,
-// so this also pins the two sync-state paths to byte-identical counters
-// — only the fan-out accounting may differ.
+// scheduling interleaved, and the ordering invariant must hold.
 TEST(ShardedSink, FinishAfterBroadcastHeavyTrafficIsDeterministic) {
   Stats Reference;
   for (int Round = 0; Round < 8; ++Round) {
-    const bool Table = Round % 2 == 0;
     ShardedSink::Options SO;
     SO.DetectShards = 3;
     SO.RingBatches = 2;
     SO.Tool = fastTrackConfig();
-    SO.SyncTable = Table;
     ShardedSink Sink(std::move(SO));
     std::vector<Event> Batch;
     std::vector<uint32_t> Payload;
@@ -402,16 +396,9 @@ TEST(ShardedSink, FinishAfterBroadcastHeavyTrafficIsDeterministic) {
     DetectResult M;
     Sink.finish(M);
     EXPECT_EQ(M.ShardOrderViolations, 0u) << "round " << Round;
-    if (Table) {
-      EXPECT_EQ(M.ShardBroadcastCopies, 0u) << "round " << Round;
-      EXPECT_EQ(M.ShardHorizonAdvances, M.ShardBroadcastEvents * 3)
-          << "round " << Round;
-      EXPECT_GT(M.ShardSyncPublishes, 0u) << "round " << Round;
-    } else {
-      EXPECT_EQ(M.ShardBroadcastCopies, M.ShardBroadcastEvents * 3)
-          << "round " << Round;
-      EXPECT_EQ(M.ShardHorizonAdvances, 0u) << "round " << Round;
-    }
+    EXPECT_EQ(M.ShardHorizonAdvances, M.ShardBroadcastEvents * 3)
+        << "round " << Round;
+    EXPECT_GT(M.ShardSyncPublishes, 0u) << "round " << Round;
     if (Round == 0)
       Reference = M.Counters;
     else

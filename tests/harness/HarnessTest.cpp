@@ -202,13 +202,10 @@ TEST(Harness, BenchArgsParsing) {
   EXPECT_TRUE(parseBenchArgs(2, const_cast<char **>(Async)).Opts.AsyncDetect);
   // The other detection flags go through the same parser as the CLI's.
   EXPECT_EQ(Defaults.Opts.DetectShards, 0u);
-  EXPECT_TRUE(Defaults.Opts.SyncTable);
   EXPECT_TRUE(Defaults.Opts.CheckFilter);
-  const char *Detect[] = {"prog", "--detect-shards=64", "--no-sync-table",
-                          "--no-check-filter"};
-  BenchArgs D = parseBenchArgs(4, const_cast<char **>(Detect));
+  const char *Detect[] = {"prog", "--detect-shards=64", "--no-check-filter"};
+  BenchArgs D = parseBenchArgs(3, const_cast<char **>(Detect));
   EXPECT_EQ(D.Opts.DetectShards, 64u);
-  EXPECT_FALSE(D.Opts.SyncTable);
   EXPECT_FALSE(D.Opts.CheckFilter);
   EXPECT_FALSE(D.Opts.AsyncDetect);
 }

@@ -63,12 +63,6 @@ options:
                   N may be "auto": derive the count from the machine's
                   core count (sharding stays off on one core). Also
                   accepted by trace record and trace replay.
-  --no-sync-table
-                  sharded mode: broadcast every sync edge to all lanes
-                  (the legacy fan-out) instead of applying it once to
-                  the shared epoch-published SyncClockTable; reports
-                  and counters are byte-identical either way, only the
-                  [shards] amplification changes
   --no-check-filter
                   disable the epoch-stamped redundant-check filter in
                   front of the detector; reports and counters are
@@ -155,21 +149,9 @@ int reportRun(const std::string &ToolName, const DetectResult &Run,
 void reportShards(size_t Shards, const DetectResult &Run) {
   if (Shards == 0)
     return;
-  // Amplification: deliveries per emitted event — routed checks land on
-  // exactly one lane; sync edges fan out to every lane in legacy
-  // broadcast mode (copies = events x lanes) but apply exactly once to
-  // the shared table in split-state mode, so there the ratio sits at
-  // 1.0 by construction. An empty stream has no deliveries to amplify,
-  // so the ratio pins to 1 instead of dividing by zero.
-  bool SplitState = Run.ShardHorizonAdvances || Run.ShardSyncPublishes;
-  uint64_t Emitted = Run.ShardRoutedEvents + Run.ShardBroadcastEvents;
-  uint64_t Delivered = Run.ShardRoutedEvents + Run.ShardBroadcastCopies +
-                       (SplitState ? Run.ShardBroadcastEvents : 0);
   std::cerr << "[shards] " << Run.ShardLanes.size() << " lane(s), "
             << Run.ShardRoutedEvents << " routed + "
-            << Run.ShardBroadcastEvents << " broadcast event(s), "
-            << (Emitted ? static_cast<double>(Delivered) / Emitted : 1.0)
-            << "x amplification\n";
+            << Run.ShardBroadcastEvents << " broadcast event(s)\n";
   if (Run.ShardSyncPublishes || Run.ShardHorizonAdvances)
     std::cerr << "[shards] sync table: " << Run.ShardSyncPublishes
               << " publish(es), " << Run.ShardTableReads
