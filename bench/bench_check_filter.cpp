@@ -88,7 +88,7 @@ InstrumentedProgram instrumentPlacement(const Program &P, int Placement) {
 /// Below this many replayed events a timed sample measures per-replay
 /// fixed costs (TraceReader setup, detector construction) rather than
 /// per-event filter cost — the old ~7us replay rows — so the cell is
-/// reported but excluded from timing (same idiom as bench_event_stream).
+/// reported but excluded from timing.
 constexpr uint64_t kMinTimedEvents = 5000;
 
 struct ConfigCell {

@@ -31,6 +31,201 @@ int64_t unzigzag(uint64_t V) {
   return static_cast<int64_t>((V >> 1) ^ (~(V & 1) + 1));
 }
 
+/// A + B with two's-complement wraparound: hostile deltas must not
+/// overflow a signed add.
+int64_t wrapAdd(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) +
+                              static_cast<uint64_t>(B));
+}
+
+/// Ten 7-bit groups cover 64 bits; a longer varint is corrupt.
+constexpr size_t kMaxVarBytes = 10;
+
+/// The longest event encoding without a payload: head byte, access byte
+/// and five varints (ArrayCheck). While this many bytes remain, an
+/// event's fixed fields cannot run past the data, so they decode with no
+/// per-byte bounds check.
+constexpr ptrdiff_t kEventWindow = 2 + 5 * kMaxVarBytes;
+
+/// Object ids must fit beside a field id in a LocId (support/Symbol.h).
+constexpr uint64_t kMaxObjects = uint64_t(1) << (64 - kLocFieldBits);
+
+constexpr const char *kTruncated = "truncated trace: unexpected end of data";
+constexpr const char *kBadThread = "malformed trace: thread id out of range";
+
+/// A read position over [P, End). A checked cursor tests every byte
+/// against End; an unchecked one relies on its caller having proven that
+/// enough bytes remain. The first error sticks, and a checked read past
+/// End yields 0 without advancing, so a failed decode winds down without
+/// reading further.
+template <bool Checked> struct Cursor {
+  const uint8_t *P;
+  const uint8_t *End;
+  const char *Err = nullptr;
+
+  void fail(const char *Why) {
+    if (!Err)
+      Err = Why;
+  }
+  size_t left() const { return static_cast<size_t>(End - P); }
+  uint8_t byte() {
+    if constexpr (Checked) {
+      if (P == End) [[unlikely]] {
+        fail(kTruncated);
+        return 0;
+      }
+    }
+    return *P++;
+  }
+};
+
+template <bool Checked> uint64_t readVar(Cursor<Checked> &C) {
+  uint64_t B = C.byte();
+  if (!(B & 0x80)) [[likely]]
+    return B;
+  uint64_t V = B & 0x7F;
+  for (unsigned Shift = 7; Shift < 64; Shift += 7) {
+    B = C.byte();
+    V |= (B & 0x7F) << Shift;
+    if (!(B & 0x80))
+      return V;
+  }
+  C.fail("malformed trace: varint longer than 64 bits");
+  return V;
+}
+
+template <bool Checked> int64_t readSVar(Cursor<Checked> &C) {
+  return unzigzag(readVar(C));
+}
+
+enum class Step { Event, End, Error, Retry };
+
+/// Decodes the event at C.P into \p E, against the delta state \p LastObj
+/// and \p LastBegin; field ids must be below \p NumFields. The delta state
+/// changes only on Step::Event. An unchecked cursor returns Step::Retry,
+/// having changed nothing but \p E, when a payload list may reach past
+/// the bytes it has proven; the event then decodes again from its first
+/// byte under a checked cursor.
+template <bool Checked>
+Step decodeEvent(Cursor<Checked> &C, Event &E, uint64_t &LastObj,
+                 int64_t &LastBegin, uint64_t NumFields,
+                 std::vector<uint32_t> &Payload) {
+  uint8_t Head = C.byte();
+  if (Head == kEventsEnd)
+    return Step::End;
+  unsigned KindBits = Head & 0x3F;
+  unsigned Target = Head >> 6;
+  if (KindBits >= kNumEventKinds)
+    C.fail("malformed trace: unknown event kind");
+  else if (Target == 0)
+    C.fail("malformed trace: bad event target mask");
+  if (C.Err)
+    return Step::Error;
+  E = Event();
+  E.Kind = static_cast<EventKind>(KindBits);
+  E.Target = static_cast<uint8_t>(Target);
+
+  uint64_t Obj = LastObj;
+  int64_t Begin = LastBegin;
+  auto Tid = [&] {
+    uint64_t U = readVar(C);
+    if (U >= kMaxThreads)
+      C.fail(kBadThread);
+    return static_cast<ThreadId>(U);
+  };
+  auto Field = [&] {
+    uint64_t U = readVar(C);
+    if (U >= NumFields)
+      C.fail("malformed trace: field id out of range");
+    return static_cast<FieldId>(U);
+  };
+  auto NextObj = [&] {
+    Obj += static_cast<uint64_t>(readSVar(C));
+    if (Obj >= kMaxObjects)
+      C.fail("malformed trace: object id out of range");
+    return Obj;
+  };
+  // A count, then that many words, each read by Word; one check of the
+  // count against the remaining bytes (every word takes at least one)
+  // bounds the whole list.
+  auto List = [&](const char *PastEnd, auto Word) {
+    uint64_t Count = readVar(C);
+    if (Count > C.left()) {
+      C.fail(PastEnd);
+      return Step::Error;
+    }
+    if constexpr (!Checked)
+      if (Count > C.left() / kMaxVarBytes)
+        return Step::Retry;
+    size_t Base = Payload.size();
+    E.PayloadIndex = static_cast<uint32_t>(Base);
+    E.PayloadCount = static_cast<uint32_t>(Count);
+    Payload.resize(Base + Count);
+    for (size_t I = Base; I != Payload.size(); ++I)
+      Payload[I] = Word();
+    return Step::Event;
+  };
+
+  switch (E.Kind) {
+  case EventKind::FieldCheck: {
+    E.Tid = Tid();
+    E.Obj = NextObj();
+    E.Access = static_cast<AccessKind>(C.byte());
+    Step S = List("truncated trace: field list runs past end of data", Field);
+    if (S != Step::Event)
+      return S;
+    break;
+  }
+  case EventKind::ArrayCheck:
+    E.Tid = Tid();
+    E.Obj = NextObj();
+    E.Access = static_cast<AccessKind>(C.byte());
+    Begin = wrapAdd(Begin, readSVar(C));
+    E.Begin = Begin;
+    E.End = wrapAdd(Begin, readSVar(C));
+    E.Stride = readSVar(C);
+    if (E.Stride < 1) // StridedRange requires a positive stride.
+      C.fail("malformed trace: non-positive range stride");
+    break;
+  case EventKind::ArrayAlloc:
+    E.Obj = NextObj();
+    E.Aux = readVar(C);
+    break;
+  case EventKind::Acquire:
+  case EventKind::Release:
+    E.Tid = Tid();
+    E.Obj = NextObj();
+    break;
+  case EventKind::VolatileRead:
+  case EventKind::VolatileWrite:
+    E.Tid = Tid();
+    E.Obj = NextObj();
+    E.Field = Field();
+    break;
+  case EventKind::Fork:
+  case EventKind::Join:
+    E.Tid = Tid();
+    E.Aux = Tid();
+    break;
+  case EventKind::Barrier: {
+    Step S = List("truncated trace: barrier party list runs past end", Tid);
+    if (S != Step::Event)
+      return S;
+    break;
+  }
+  case EventKind::ThreadBegin:
+  case EventKind::ThreadExit:
+  case EventKind::Commit:
+    E.Tid = Tid();
+    break;
+  }
+  if (C.Err)
+    return Step::Error;
+  LastObj = Obj;
+  LastBegin = Begin;
+  return Step::Event;
+}
+
 } // namespace
 
 //===--- TraceWriter ----------------------------------------------------------
@@ -191,24 +386,10 @@ bool TraceReader::getByte(uint8_t &B) {
 }
 
 bool TraceReader::getVar(uint64_t &V) {
-  V = 0;
-  for (unsigned Shift = 0; Shift < 64; Shift += 7) {
-    uint8_t B;
-    if (!getByte(B))
-      return false;
-    V |= static_cast<uint64_t>(B & 0x7F) << Shift;
-    if (!(B & 0x80))
-      return true;
-  }
-  return fail("malformed trace: varint longer than 64 bits");
-}
-
-bool TraceReader::getSVar(int64_t &V) {
-  uint64_t U;
-  if (!getVar(U))
-    return false;
-  V = unzigzag(U);
-  return true;
+  Cursor<true> C{Data + Pos, Data + Size};
+  V = readVar(C);
+  Pos = static_cast<size_t>(C.P - Data);
+  return C.Err ? fail(C.Err) : true;
 }
 
 bool TraceReader::getStr(std::string &S) {
@@ -312,155 +493,47 @@ bool TraceReader::parseSections() {
   }
 }
 
-bool TraceReader::getEvent(Event &E, std::vector<uint32_t> &Payload) {
-  uint8_t Head;
-  if (!getByte(Head))
-    return false;
-  if (Head == kEventsEnd) {
-    EventsDone = true;
-    return false;
-  }
-  unsigned KindBits = Head & 0x3F;
-  unsigned Target = Head >> 6;
-  if (KindBits >= kNumEventKinds)
-    return fail("malformed trace: unknown event kind");
-  if (Target < 1 || Target > 3)
-    return fail("malformed trace: bad event target mask");
-  E = Event();
-  E.Kind = static_cast<EventKind>(KindBits);
-  E.Target = static_cast<uint8_t>(Target);
-
-  uint64_t U;
-  int64_t S;
-  switch (E.Kind) {
-  case EventKind::FieldCheck: {
-    if (!getVar(U))
-      return false;
-    E.Tid = static_cast<ThreadId>(U);
-    if (!getSVar(S))
-      return false;
-    E.Obj = LastObj + static_cast<uint64_t>(S);
-    LastObj = E.Obj;
-    uint8_t Access;
-    if (!getByte(Access))
-      return false;
-    E.Access = static_cast<AccessKind>(Access);
-    if (!getVar(U))
-      return false;
-    if (U > Size - Pos) // Each payload word is at least one byte.
-      return fail("truncated trace: field list runs past end of data");
-    E.PayloadIndex = static_cast<uint32_t>(Payload.size());
-    E.PayloadCount = static_cast<uint32_t>(U);
-    for (uint32_t I = 0; I < E.PayloadCount; ++I) {
-      if (!getVar(U))
-        return false;
-      Payload.push_back(static_cast<uint32_t>(U));
-    }
-    break;
-  }
-  case EventKind::ArrayCheck: {
-    if (!getVar(U))
-      return false;
-    E.Tid = static_cast<ThreadId>(U);
-    if (!getSVar(S))
-      return false;
-    E.Obj = LastObj + static_cast<uint64_t>(S);
-    LastObj = E.Obj;
-    uint8_t Access;
-    if (!getByte(Access))
-      return false;
-    E.Access = static_cast<AccessKind>(Access);
-    if (!getSVar(S))
-      return false;
-    E.Begin = LastBegin + S;
-    LastBegin = E.Begin;
-    if (!getSVar(S))
-      return false;
-    E.End = E.Begin + S;
-    if (!getSVar(E.Stride))
-      return false;
-    if (E.Stride < 1) // StridedRange requires a positive stride.
-      return fail("malformed trace: non-positive range stride");
-    break;
-  }
-  case EventKind::ArrayAlloc:
-    if (!getSVar(S))
-      return false;
-    E.Obj = LastObj + static_cast<uint64_t>(S);
-    LastObj = E.Obj;
-    if (!getVar(E.Aux))
-      return false;
-    break;
-  case EventKind::Acquire:
-  case EventKind::Release:
-    if (!getVar(U))
-      return false;
-    E.Tid = static_cast<ThreadId>(U);
-    if (!getSVar(S))
-      return false;
-    E.Obj = LastObj + static_cast<uint64_t>(S);
-    LastObj = E.Obj;
-    break;
-  case EventKind::VolatileRead:
-  case EventKind::VolatileWrite:
-    if (!getVar(U))
-      return false;
-    E.Tid = static_cast<ThreadId>(U);
-    if (!getSVar(S))
-      return false;
-    E.Obj = LastObj + static_cast<uint64_t>(S);
-    LastObj = E.Obj;
-    if (!getVar(U))
-      return false;
-    E.Field = static_cast<FieldId>(U);
-    break;
-  case EventKind::Fork:
-  case EventKind::Join:
-    if (!getVar(U))
-      return false;
-    E.Tid = static_cast<ThreadId>(U);
-    if (!getVar(E.Aux))
-      return false;
-    break;
-  case EventKind::Barrier: {
-    if (!getVar(U))
-      return false;
-    if (U > Size - Pos)
-      return fail("truncated trace: barrier party list runs past end");
-    E.PayloadIndex = static_cast<uint32_t>(Payload.size());
-    E.PayloadCount = static_cast<uint32_t>(U);
-    for (uint32_t I = 0; I < E.PayloadCount; ++I) {
-      if (!getVar(U))
-        return false;
-      Payload.push_back(static_cast<uint32_t>(U));
-    }
-    break;
-  }
-  case EventKind::ThreadBegin:
-  case EventKind::ThreadExit:
-  case EventKind::Commit:
-    if (!getVar(U))
-      return false;
-    E.Tid = static_cast<ThreadId>(U);
-    break;
-  }
-  ++NumEvents;
-  return true;
-}
-
 size_t TraceReader::nextBatch(Event *Out, size_t Max,
                               std::vector<uint32_t> &Payload) {
   Payload.clear();
   if (!ok() || EventsDone)
     return 0;
+  const uint8_t *P = Data + Pos;
+  const uint8_t *End = Data + Size;
+  const uint64_t NumFields = Syms.size();
+  uint64_t Obj = LastObj;
+  int64_t Begin = LastBegin;
+  const char *Why = nullptr;
   size_t N = 0;
-  while (N < Max) {
-    if (!getEvent(Out[N], Payload))
+  auto Decode = [&](auto C) {
+    Step S = decodeEvent(C, Out[N], Obj, Begin, NumFields, Payload);
+    if (S != Step::Retry) {
+      P = C.P;
+      Why = C.Err;
+    }
+    return S;
+  };
+  // Events decode unchecked while a whole window remains; the stream's
+  // last bytes, and an event whose payload the window does not cover,
+  // take the checked cursor.
+  Step S = Step::Event;
+  for (; N < Max; ++N) {
+    S = End - P >= kEventWindow ? Decode(Cursor<false>{P, End}) : Step::Retry;
+    if (S == Step::Retry)
+      S = Decode(Cursor<true>{P, End});
+    if (S != Step::Event)
       break;
-    ++N;
   }
-  if (EventsDone && ok())
+  Pos = static_cast<size_t>(P - Data);
+  LastObj = Obj;
+  LastBegin = Begin;
+  NumEvents += N;
+  if (S == Step::Error) {
+    fail(Why);
+  } else if (S == Step::End) {
+    EventsDone = true;
     parseSummarySection();
+  }
   return ok() ? N : 0;
 }
 

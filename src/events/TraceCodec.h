@@ -100,8 +100,10 @@ private:
 /// Decodes a trace produced by TraceWriter. open() parses the header
 /// sections; nextBatch() then yields events until the stream ends, after
 /// which the summary is available. All decode errors (truncation,
-/// corruption, unknown tags) surface as ok() == false with a message —
-/// never as a crash or an out-of-bounds read.
+/// corruption, unknown tags, ids a detector cannot index) surface as
+/// ok() == false with a message — never as a crash or an out-of-bounds
+/// read. Thread ids must be below kMaxThreads, field ids below
+/// symbols().size() and object ids must fit a LocId.
 class TraceReader {
 public:
   /// Parses the header from \p Data (not owned; must outlive the
@@ -116,7 +118,10 @@ public:
 
   /// Decodes up to \p Max events into \p Out, with payload words
   /// appended to \p Payload (cleared first; indices are batch-relative).
-  /// Returns 0 at end of stream or on error — check ok().
+  /// Returns 0 at end of stream or on error — check ok(). An event costs
+  /// one bounds check while a fixed window of bytes remains; only the
+  /// stream's last bytes, and a payload list the window does not cover,
+  /// are read byte by byte under a checked cursor.
   size_t nextBatch(Event *Out, size_t Max, std::vector<uint32_t> &Payload);
 
   /// True once nextBatch has consumed the stream's terminator and the
@@ -150,13 +155,9 @@ private:
   bool fail(const std::string &Message);
   bool getByte(uint8_t &B);
   bool getVar(uint64_t &V);
-  bool getSVar(int64_t &V);
   bool getStr(std::string &S);
   bool parseSections();
   bool parseSummarySection();
-  /// Decodes one event; returns false on end-of-stream (terminator) or
-  /// error (distinguish via ok()).
-  bool getEvent(Event &E, std::vector<uint32_t> &Payload);
 };
 
 } // namespace bigfoot

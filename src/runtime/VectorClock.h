@@ -64,6 +64,11 @@ private:
   uint64_t Raw = 0;
 };
 
+/// How many threads one run may have: every thread id fits an epoch's
+/// tid bits. The VM refuses a fork past it and the trace reader rejects
+/// any thread id at or above it, so every recorded trace replays.
+inline constexpr ThreadId kMaxThreads = ThreadId(1) << Epoch::kTidBits;
+
 /// A growable vector clock with a small-size-optimized inline
 /// representation: the first kInlineSlots thread entries live inside the
 /// object; only wider clocks spill to the heap.

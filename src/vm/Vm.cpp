@@ -979,6 +979,11 @@ private:
   /// Thread-spawn tail shared by both fork paths: registers the child,
   /// emits the release-edge events, and stores the handle.
   void finishFork(ThreadCtx &T, Frame CF, SymId TargetSym) {
+    if (Threads.size() >= kMaxThreads) {
+      setError("thread limit exceeded: a run is capped at " +
+               std::to_string(kMaxThreads) + " threads");
+      return;
+    }
     auto Child = std::make_unique<ThreadCtx>();
     Child->Tid = static_cast<ThreadId>(Threads.size());
     Child->Frames.push_back(std::move(CF));

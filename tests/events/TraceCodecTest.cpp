@@ -3,20 +3,29 @@
 // Part of the BigFoot reproduction. See README.md for details.
 //
 // Seeded-RNG round-trip fuzz: generate random event streams exercising
-// every kind, maximum-width thread ids, field ids at the kLocFieldBits
-// ceiling, full-range int64 array bounds (stride >= 1, as StridedRange
+// every kind, maximum-width thread ids, field ids across the symbol
+// table, full-range int64 array bounds (stride >= 1, as StridedRange
 // requires), and random batch splits — then decode and demand exact
 // field-for-field equality. Separately, every truncation prefix of a
-// valid trace and a set of targeted corruptions must surface as decode
-// errors, never as crashes, hangs, or out-of-bounds reads.
+// valid trace, a set of targeted corruptions (at the end of the data
+// and inside the decoder's unchecked window), ids a detector cannot
+// index, and random byte flips in a recorded trace must surface as decode
+// errors, never as crashes, hangs, or out-of-bounds reads. Every event
+// must decode alike on the windowed and on the byte-checked path.
 //
 //===----------------------------------------------------------------------===//
 
 #include "events/TraceCodec.h"
+#include "bfj/Parser.h"
+#include "events/Replay.h"
+#include "instrument/Instrumenters.h"
 #include "support/Symbol.h"
+#include "vm/Vm.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -83,8 +92,8 @@ FuzzEvent randomEvent(Rng &R, uint32_t NumSyms) {
   case EventKind::VolatileRead:
   case EventKind::VolatileWrite:
     randomObj();
-    // Field ids at the kLocFieldBits ceiling.
-    E.Field = static_cast<FieldId>(pick(R, 0, kLocFieldMask));
+    // Any recorded symbol; the reader rejects ids past the table.
+    E.Field = static_cast<FieldId>(pick(R, 0, NumSyms - 1));
     break;
   case EventKind::Fork:
   case EventKind::Join:
@@ -352,6 +361,326 @@ TEST(TraceCodec, TargetedCorruptionsFailCleanly) {
     TraceReader Reader;
     EXPECT_FALSE(Reader.openFile("/nonexistent/trace.bft"));
     EXPECT_FALSE(Reader.error().empty());
+  }
+}
+
+/// The decoder reads an event's fixed fields unchecked while this many
+/// bytes remain (head, access and five 10-byte varints).
+constexpr size_t kEventWindow = 52;
+
+/// A copy of \p Buf in a heap block of exactly its size, so a read past
+/// the end is an out-of-bounds access that AddressSanitizer reports.
+std::unique_ptr<uint8_t[]> exactCopy(const std::vector<uint8_t> &Buf) {
+  auto Copy = std::make_unique<uint8_t[]>(Buf.size());
+  std::copy(Buf.begin(), Buf.end(), Copy.get());
+  return Copy;
+}
+
+/// Encodes \p Stream one event per batch and records in \p Ends the
+/// buffer size after each event, i.e. where its encoding ends.
+std::vector<uint8_t> encodeEach(const std::vector<FuzzEvent> &Stream,
+                                const SymbolTable &Syms,
+                                std::vector<size_t> &Ends) {
+  TraceWriter Writer(Syms, fuzzConfig());
+  for (const FuzzEvent &F : Stream) {
+    Event E = F.E;
+    E.PayloadIndex = 0;
+    E.PayloadCount = static_cast<uint32_t>(F.Words.size());
+    Writer.consumeBatch(&E, 1, F.Words.data());
+    Ends.push_back(Writer.buffer().size());
+  }
+  Writer.finish(fuzzSummary());
+  return Writer.buffer();
+}
+
+FuzzEvent threadBegin() {
+  FuzzEvent F;
+  F.E.Kind = EventKind::ThreadBegin;
+  return F;
+}
+
+void expectSameEvent(const Event &Got, const std::vector<uint32_t> &GotWords,
+                     const Event &Want,
+                     const std::vector<uint32_t> &WantWords,
+                     const std::string &Tag) {
+  EXPECT_EQ(Got.Kind, Want.Kind) << Tag;
+  EXPECT_EQ(Got.Target, Want.Target) << Tag;
+  EXPECT_EQ(Got.Access, Want.Access) << Tag;
+  EXPECT_EQ(Got.Tid, Want.Tid) << Tag;
+  EXPECT_EQ(Got.Obj, Want.Obj) << Tag;
+  EXPECT_EQ(Got.Aux, Want.Aux) << Tag;
+  EXPECT_EQ(Got.Field, Want.Field) << Tag;
+  EXPECT_EQ(Got.PayloadIndex, Want.PayloadIndex) << Tag;
+  ASSERT_EQ(Got.PayloadCount, Want.PayloadCount) << Tag;
+  EXPECT_EQ(Got.Begin, Want.Begin) << Tag;
+  EXPECT_EQ(Got.End, Want.End) << Tag;
+  EXPECT_EQ(Got.Stride, Want.Stride) << Tag;
+  auto Words = [](const std::vector<uint32_t> &W, const Event &E) {
+    return std::vector<uint32_t>(W.begin() + E.PayloadIndex,
+                                 W.begin() + E.PayloadIndex + E.PayloadCount);
+  };
+  EXPECT_EQ(Words(GotWords, Got), Words(WantWords, Want)) << Tag;
+}
+
+TEST(TraceCodec, WindowAndCheckedPathsDecodeAlike) {
+  constexpr uint32_t kNumSyms = 64;
+  SymbolTable Syms = fuzzSymbols(kNumSyms);
+
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    Rng R(Seed);
+    size_t Len = static_cast<size_t>(pick(R, 0, 400));
+    std::vector<FuzzEvent> Stream;
+    for (size_t I = 0; I < Len; ++I)
+      Stream.push_back(randomEvent(R, kNumSyms));
+    // 200 bytes of trailing events put every fuzzed event, payload
+    // included (at most 12 words of at most 10 bytes), inside the window.
+    for (size_t I = 0; I < 100; ++I)
+      Stream.push_back(threadBegin());
+    std::vector<size_t> Ends;
+    std::vector<uint8_t> Buf = encodeEach(Stream, Syms, Ends);
+    auto Data = exactCopy(Buf);
+
+    std::vector<Event> Deep(Stream.size());
+    std::vector<uint32_t> DeepWords;
+    TraceReader Whole;
+    ASSERT_TRUE(Whole.open(Data.get(), Buf.size())) << Whole.error();
+    ASSERT_EQ(Whole.nextBatch(Deep.data(), Deep.size(), DeepWords),
+              Stream.size())
+        << "seed " << Seed << ": " << Whole.error();
+
+    // The same bytes cut right after event I: fewer than a window's bytes
+    // remain at its start, so it takes the checked path.
+    for (size_t I = 0; I < Len; ++I) {
+      std::string Tag =
+          "seed " + std::to_string(Seed) + " event " + std::to_string(I);
+      size_t Start = I ? Ends[I - 1] : Ends[0] - 1;
+      ASSERT_LT(Ends[I] - Start, kEventWindow) << Tag;
+      std::vector<uint8_t> Cut(Buf.begin(), Buf.begin() + Ends[I]);
+      auto CutData = exactCopy(Cut);
+      TraceReader Tail;
+      ASSERT_TRUE(Tail.open(CutData.get(), Cut.size())) << Tail.error();
+      std::vector<Event> Got(I + 1);
+      std::vector<uint32_t> Words;
+      ASSERT_EQ(Tail.nextBatch(Got.data(), I + 1, Words), I + 1)
+          << Tag << ": " << Tail.error();
+      expectSameEvent(Got[I], Words, Deep[I], DeepWords, Tag);
+    }
+  }
+}
+
+/// A trace whose events section starts with the raw bytes \p Bad over a
+/// symbol table of \p NumSyms fields. With \p Pad > 0, Pad ThreadBegin
+/// events, the terminator and a summary follow, so the bad event sits
+/// inside the decoder's window; with Pad == 0 the data ends after it.
+std::vector<uint8_t> traceWith(const std::vector<uint8_t> &Bad, size_t Pad,
+                               uint32_t NumSyms = 4) {
+  SymbolTable Syms = fuzzSymbols(NumSyms);
+  TraceWriter Writer(Syms, fuzzConfig());
+  size_t HeaderSize = Writer.buffer().size();
+  std::vector<uint8_t> Buf = Writer.buffer();
+  Buf.insert(Buf.end(), Bad.begin(), Bad.end());
+  if (Pad) {
+    std::vector<Event> Pads(Pad, threadBegin().E);
+    Writer.consumeBatch(Pads.data(), Pads.size(), nullptr);
+    Writer.finish(fuzzSummary());
+    Buf.insert(Buf.end(), Writer.buffer().begin() + HeaderSize,
+               Writer.buffer().end());
+  }
+  return Buf;
+}
+
+/// The error that draining \p Buf with nextBatch ends in ("" if none).
+std::string decodeError(const std::vector<uint8_t> &Buf) {
+  auto Data = exactCopy(Buf);
+  TraceReader Reader;
+  if (!Reader.open(Data.get(), Buf.size()))
+    return "open: " + Reader.error();
+  drainsCleanly(Reader);
+  return Reader.error();
+}
+
+uint8_t head(EventKind K, unsigned Target = kTargetTool) {
+  return static_cast<uint8_t>(static_cast<unsigned>(K) | (Target << 6));
+}
+
+std::vector<uint8_t> varint(uint64_t V) {
+  std::vector<uint8_t> Out;
+  for (; V >= 0x80; V >>= 7)
+    Out.push_back(static_cast<uint8_t>(V) | 0x80);
+  Out.push_back(static_cast<uint8_t>(V));
+  return Out;
+}
+
+/// Concatenates byte groups into one event encoding.
+std::vector<uint8_t> bytes(std::initializer_list<std::vector<uint8_t>> Parts) {
+  std::vector<uint8_t> Out;
+  for (const std::vector<uint8_t> &P : Parts)
+    Out.insert(Out.end(), P.begin(), P.end());
+  return Out;
+}
+
+TEST(TraceCodec, CorruptionsInsideTheWindowFailAsAtTheTail) {
+  std::vector<uint8_t> TooLong(10, 0x80);
+  TooLong.push_back(0x01);
+  // As many bytes as the count, all continuation bytes: each word runs
+  // ten bytes, so the list would read past the data at the tail.
+  std::vector<uint8_t> Run(60, 0x80);
+  struct Case {
+    const char *Name;
+    std::vector<uint8_t> Bad;
+    const char *Error;
+  } Cases[] = {
+      {"zero stride",
+       {head(EventKind::ArrayCheck), 0, 0, 0, 0, 2, 0},
+       "malformed trace: non-positive range stride"},
+      {"unknown kind", {0x3F | (1u << 6)}, "malformed trace: unknown event kind"},
+      {"target mask 0",
+       {head(EventKind::FieldCheck, 0), 0, 0, 0, 1, 0},
+       "malformed trace: bad event target mask"},
+      {"11-byte varint",
+       bytes({{head(EventKind::ThreadBegin)}, TooLong}),
+       "malformed trace: varint longer than 64 bits"},
+      {"field count past the end",
+       bytes({{head(EventKind::FieldCheck), 0, 0, 0}, varint(1000000)}),
+       "truncated trace: field list runs past end of data"},
+      {"party count past the end",
+       bytes({{head(EventKind::Barrier, kTargetBoth)}, varint(1000000)}),
+       "truncated trace: barrier party list runs past end"},
+      {"array check of continuation bytes",
+       bytes({{head(EventKind::ArrayCheck)},
+              std::vector<uint8_t>(kEventWindow - 7, 0x80)}),
+       "malformed trace: varint longer than 64 bits"},
+      {"field words running on",
+       bytes({{head(EventKind::FieldCheck), 0, 0, 0, 60}, Run}),
+       "malformed trace: varint longer than 64 bits"},
+      {"party words running on",
+       bytes({{head(EventKind::Barrier, kTargetBoth), 60}, Run}),
+       "malformed trace: varint longer than 64 bits"},
+  };
+  for (const Case &C : Cases) {
+    std::vector<uint8_t> Tail = traceWith(C.Bad, 0);
+    std::vector<uint8_t> Window = traceWith(C.Bad, 40);
+    ASSERT_GE(Window.size() - Tail.size(), 64u) << C.Name;
+    EXPECT_EQ(decodeError(Tail), C.Error) << C.Name;
+    EXPECT_EQ(decodeError(Window), C.Error) << C.Name;
+  }
+}
+
+TEST(TraceCodec, HostileIdsFailCleanly) {
+  const char *BadThread = "malformed trace: thread id out of range";
+  const char *BadField = "malformed trace: field id out of range";
+  struct Case {
+    const char *Name;
+    std::vector<uint8_t> Bad;
+    const char *Error;
+  } Cases[] = {
+      {"check by thread 0xFFFFFFFF",
+       bytes({{head(EventKind::FieldCheck)}, varint(0xFFFFFFFF), {0, 0, 1, 0}}),
+       BadThread},
+      {"check by thread 50,000,000",
+       bytes({{head(EventKind::FieldCheck)}, varint(50000000), {0, 0, 1, 0}}),
+       BadThread},
+      {"thread at the limit",
+       bytes({{head(EventKind::ThreadBegin)}, varint(kMaxThreads)}),
+       BadThread},
+      {"fork of thread 0xFFFFFFFF",
+       bytes({{head(EventKind::Fork, kTargetBoth), 0}, varint(0xFFFFFFFF)}),
+       BadThread},
+      {"join of thread 0xFFFFFFFF",
+       bytes({{head(EventKind::Join, kTargetBoth), 0}, varint(0xFFFFFFFF)}),
+       BadThread},
+      {"barrier party 0xFFFFFFFF",
+       bytes({{head(EventKind::Barrier, kTargetBoth), 1}, varint(0xFFFFFFFF)}),
+       BadThread},
+      {"checked field 1000",
+       bytes({{head(EventKind::FieldCheck), 0, 0, 0, 1}, varint(1000)}),
+       BadField},
+      {"volatile field 0xFFFFFFFF",
+       bytes({{head(EventKind::VolatileRead, kTargetBoth), 0, 0},
+              varint(0xFFFFFFFF)}),
+       BadField},
+      {"object past a LocId",
+       bytes({{head(EventKind::Acquire, kTargetBoth), 0},
+              varint(uint64_t(1) << (64 - kLocFieldBits + 1))}),
+       "malformed trace: object id out of range"},
+  };
+  for (const Case &C : Cases) {
+    // One symbol: every field id but 0 lies past the table.
+    std::vector<uint8_t> Tail = traceWith(C.Bad, 0, 1);
+    std::vector<uint8_t> Window = traceWith(C.Bad, 40, 1);
+    EXPECT_EQ(decodeError(Tail), C.Error) << C.Name;
+    EXPECT_EQ(decodeError(Window), C.Error) << C.Name;
+
+    auto Data = exactCopy(Window);
+    TraceReader Reader;
+    ASSERT_TRUE(Reader.open(Data.get(), Window.size())) << C.Name;
+    ReplayOptions Opts;
+    Opts.EnableGroundTruth = true;
+    ReplayResult R = replayTrace(Reader, Reader.config(), Opts);
+    EXPECT_FALSE(R.Ok) << C.Name;
+    EXPECT_EQ(R.Error, std::string("trace replay failed: ") + C.Error)
+        << C.Name;
+  }
+}
+
+/// \p Name's Bench-scale trace under FastTrack placement, with the
+/// oracle's events; \p EventsBegin and \p EventsEnd bound its events.
+std::vector<uint8_t> recordBench(const std::string &Name, size_t &EventsBegin,
+                                 size_t &EventsEnd) {
+  ParseResult PR = parseProgram(workloadByName(Name, SuiteScale::Bench).Source);
+  EXPECT_TRUE(PR.ok()) << PR.Error;
+  InstrumentedProgram IP = instrumentFastTrack(*PR.Prog);
+  IP.Prog->internSymbols();
+  TraceWriter Writer(IP.Prog->symbols(), IP.Tool);
+  EventsBegin = Writer.buffer().size();
+  VmOptions Opts;
+  Opts.Seed = 1;
+  Opts.EnableGroundTruth = true;
+  Opts.RecordSink = &Writer;
+  VmResult Run = runProgram(*IP.Prog, IP.Tool, Opts);
+  EXPECT_TRUE(Run.Ok) << Run.Error;
+  EventsEnd = Writer.buffer().size();
+  Writer.finish(Run.traceSummary());
+  return Writer.buffer();
+}
+
+TEST(TraceCodec, ByteMutationsDecodeOrFail) {
+  // avrora brings volatiles and locks; lufact array checks, forks, joins
+  // and barriers.
+  for (const char *Name : {"avrora", "lufact"}) {
+    size_t EventsBegin = 0, EventsEnd = 0;
+    std::vector<uint8_t> Good = recordBench(Name, EventsBegin, EventsEnd);
+    ASSERT_GT(EventsEnd - EventsBegin, 10000u) << Name;
+
+    Rng R(2017);
+    size_t Failed = 0;
+    for (int M = 0; M < 48; ++M) {
+      std::string Tag = std::string(Name) + " mutant " + std::to_string(M);
+      std::vector<uint8_t> Bad = Good;
+      size_t Last = 0;
+      for (uint64_t F = pick(R, 1, 4); F > 0; --F) {
+        size_t At = static_cast<size_t>(pick(R, EventsBegin, EventsEnd - 1));
+        Bad[At] ^= static_cast<uint8_t>(pick(R, 1, 255));
+        Last = std::max(Last, At);
+      }
+      // Half the mutants also end early, so flips meet the end of data.
+      if (pick(R, 0, 1))
+        Bad.resize(static_cast<size_t>(pick(R, Last + 1, Bad.size())));
+      auto Data = exactCopy(Bad);
+      TraceReader Reader;
+      ASSERT_TRUE(Reader.open(Data.get(), Bad.size())) << Tag;
+      std::vector<Event> Batch(256);
+      std::vector<uint32_t> Payload;
+      while (Reader.nextBatch(Batch.data(), Batch.size(), Payload) > 0)
+        ;
+      if (Reader.ok()) {
+        EXPECT_TRUE(Reader.summaryReady()) << Tag;
+      } else {
+        EXPECT_FALSE(Reader.error().empty()) << Tag;
+        ++Failed;
+      }
+    }
+    EXPECT_GT(Failed, 0u) << Name; // The flips did reach the decoder.
   }
 }
 

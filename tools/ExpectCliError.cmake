@@ -1,12 +1,15 @@
 # Runs the bigfoot CLI with one flag and a program, and fails unless the
-# run exits non-zero with an error message on stderr matching EXPECT.
+# run exits 1 with an error message on stderr matching EXPECT.
 #
 #   cmake -DBIGFOOT=<path> -DFLAG=<flag> -DPROGRAM=<file.bfj>
 #         -DEXPECT=<regex> -P ExpectCliError.cmake
 #
-# TRACE_RECORD=<out.bft> runs `bigfoot trace record --out=<out.bft>` instead.
+# TRACE_RECORD=<out.bft> runs `bigfoot trace record --out=<out.bft>` instead;
+# TRACE_REPLAY=ON runs `bigfoot trace replay`, with PROGRAM the trace file.
 if(DEFINED TRACE_RECORD)
   set(cmd ${BIGFOOT} trace record --out=${TRACE_RECORD} ${FLAG} ${PROGRAM})
+elseif(TRACE_REPLAY)
+  set(cmd ${BIGFOOT} trace replay ${FLAG} ${PROGRAM})
 else()
   set(cmd ${BIGFOOT} ${FLAG} ${PROGRAM})
 endif()
@@ -19,6 +22,9 @@ if(rc EQUAL 0)
 endif()
 if(NOT rc MATCHES "^[0-9]+$")
   message(FATAL_ERROR "'${FLAG}' crashed: ${rc}")
+endif()
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "'${FLAG}' exited ${rc}, not 1; stderr was: ${err}")
 endif()
 if(NOT err MATCHES "${EXPECT}")
   message(FATAL_ERROR "'${FLAG}' exited ${rc} without the expected error; "
