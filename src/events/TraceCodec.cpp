@@ -190,6 +190,8 @@ Step decodeEvent(Cursor<Checked> &C, Event &E, uint64_t &LastObj,
   case EventKind::ArrayAlloc:
     E.Obj = NextObj();
     E.Aux = readVar(C);
+    if (E.Aux > kMaxArrayLength)
+      C.fail("malformed trace: array length out of range");
     break;
   case EventKind::Acquire:
   case EventKind::Release:

@@ -103,7 +103,8 @@ private:
 /// corruption, unknown tags, ids a detector cannot index) surface as
 /// ok() == false with a message — never as a crash or an out-of-bounds
 /// read. Thread ids must be below kMaxThreads, field ids below
-/// symbols().size() and object ids must fit a LocId.
+/// symbols().size(), object ids must fit a LocId and array lengths must
+/// not pass kMaxArrayLength.
 class TraceReader {
 public:
   /// Parses the header from \p Data (not owned; must outlive the

@@ -108,7 +108,6 @@ DetectorConfig replayConfigFor(int ToolIdx, const DetectorConfig &Recorded) {
 VmOptions vmOptionsFor(const ExperimentOptions &Opts) {
   VmOptions VmOpts;
   VmOpts.Seed = Opts.Seed;
-  VmOpts.UseBytecode = Opts.UseBytecode;
   VmOpts.AsyncDetect = Opts.AsyncDetect;
   static_cast<DetectOptions &>(VmOpts) = Opts;
   return VmOpts;
@@ -486,8 +485,6 @@ BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
     else if (std::strncmp(Arg, "--jobs=", 7) == 0)
       Args.Opts.Jobs =
           static_cast<unsigned>(parseNumericFlag(Arg, 0, UINT_MAX));
-    else if (std::strcmp(Arg, "--ast") == 0)
-      Args.Opts.UseBytecode = false;
     else if (std::strcmp(Arg, "--replay") == 0)
       Args.Opts.UseReplay = true;
     else if (std::strcmp(Arg, "--no-replay") == 0)
@@ -496,8 +493,10 @@ BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
       Args.Opts.RecordDir = Arg + 13;
     else if (std::strncmp(Arg, "--workload=", 11) == 0)
       Args.Workload = Arg + 11;
-    else
-      parseDetectFlag(Arg, Args.Opts, Args.Opts.AsyncDetect);
+    else if (!parseDetectFlag(Arg, Args.Opts, Args.Opts.AsyncDetect)) {
+      std::fprintf(stderr, "bigfoot: error: unknown option '%s'\n", Arg);
+      std::exit(1);
+    }
   }
   return Args;
 }

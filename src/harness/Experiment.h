@@ -75,9 +75,6 @@ struct ExperimentOptions : DetectOptions {
   /// runs stay serial on the quiesced pool afterwards — so Jobs changes
   /// neither the results nor their order, only the wall-clock spent.
   unsigned Jobs = 0;
-  /// Execute workloads on the compiled bytecode VM (the default); false
-  /// selects the AST-walker reference (VmOptions::UseBytecode).
-  bool UseBytecode = true;
   /// Record-once/replay-many counters phase: execute each workload only
   /// under its three distinct placements (FastTrack, RedCard, BigFoot),
   /// recording the event stream, then replay all six detector configs
@@ -107,11 +104,11 @@ runSuite(SuiteScale Scale,
 /// positive epsilon as is conventional.
 double geomeanOverhead(const std::vector<double> &Overheads);
 
-/// Parses --small/--iters=N/--seed=N/--jobs=N/--ast/--replay/--no-replay/
+/// Parses --small/--iters=N/--seed=N/--jobs=N/--replay/--no-replay/
 /// --record-dir=DIR/--async-detect/--detect-shards=N|auto/--no-check-filter/
 /// --workload=NAME command-line options shared by the bench binaries.
 /// Numeric values are strict (see parseNumericFlag): a malformed or
-/// out-of-range value exits with an error.
+/// out-of-range value, or any other argument, exits with an error.
 struct BenchArgs {
   SuiteScale Scale = SuiteScale::Bench;
   ExperimentOptions Opts;

@@ -112,6 +112,8 @@ struct HeapSlot {
 /// would cross it is a run-time error rather than a host allocation
 /// failure.
 constexpr uint64_t kMaxHeapBytes = uint64_t(1) << 30;
+static_assert(kMaxArrayLength == kMaxHeapBytes / 16,
+              "an array element costs 16 heap bytes");
 
 //===----------------------------------------------------------------------===
 // Threads and continuations.
@@ -239,6 +241,7 @@ private:
   ObjectId GlobalObj = 0;
 
   std::vector<std::unique_ptr<ThreadCtx>> Threads;
+  size_t FinishedThreads = 0;
   std::string Error;
   uint64_t Steps = 0;
 
@@ -387,31 +390,44 @@ private:
 
   //===--- Scheduler -----------------------------------------------------------
 
+  /// Round-robin sweeps from a cursor that advances one thread per sweep.
+  /// A sweep visits the live threads that existed when it began, in index
+  /// order from the cursor, wrapping; threads forked during a sweep wait
+  /// for the next one. A thread finishes only while it runs, so the visit
+  /// list is compacted between sweeps, and only after a thread finished;
+  /// a finished thread costs nothing after the sweep that drops it.
   void schedule() {
     size_t Cursor = 0;
+    std::vector<size_t> Live; // Ascending indices of unfinished threads.
+    size_t Listed = 0;        // Threads[0, Listed) have entered Live.
+    size_t Dropped = 0;       // FinishedThreads when Live was compacted.
     while (Error.empty()) {
-      bool AnyAlive = false;
+      for (; Listed < Threads.size(); ++Listed)
+        Live.push_back(Listed);
+      if (Dropped != FinishedThreads) {
+        std::erase_if(Live, [&](size_t I) { return Threads[I]->Finished; });
+        Dropped = FinishedThreads;
+      }
+      if (Live.empty())
+        break;
+      size_t Next = static_cast<size_t>(
+          std::lower_bound(Live.begin(), Live.end(), Cursor) - Live.begin());
       bool AnyProgress = false;
-      size_t SweepSize = Threads.size();
-      for (size_t Pass = 0; Pass < SweepSize && Error.empty(); ++Pass) {
-        ThreadCtx &T = *Threads[(Cursor + Pass) % SweepSize];
-        if (T.Finished)
-          continue;
-        AnyAlive = true;
+      for (size_t Pass = 0; Pass < Live.size() && Error.empty(); ++Pass) {
+        if (Next == Live.size())
+          Next = 0;
+        ThreadCtx &T = *Threads[Live[Next++]];
         unsigned Quantum =
             1 + static_cast<unsigned>(R.nextBelow(Opts.Quantum));
         if (Opts.UseBytecode ? runQuantumBc(T, Quantum)
                              : runQuantumAst(T, Quantum))
           AnyProgress = true;
       }
-      if (!AnyAlive)
-        break;
       if (!AnyProgress && Error.empty()) {
         setError("deadlock: every live thread is blocked");
         break;
       }
-      if (!Threads.empty())
-        Cursor = (Cursor + 1) % Threads.size();
+      Cursor = (Cursor + 1) % Threads.size();
     }
   }
 
@@ -570,6 +586,7 @@ private:
     if (T.Finished)
       return;
     T.Finished = true;
+    ++FinishedThreads;
     emitSync(EventKind::ThreadExit, T.Tid);
   }
 
@@ -777,8 +794,8 @@ private:
     }
     auto Len = static_cast<uint64_t>(Size.I);
     // A length past the cap alone is refused before 32 + 16 * Len can wrap.
-    if (!chargeHeap(Len > kMaxHeapBytes / 16 ? kMaxHeapBytes + 1
-                                             : 32 + Len * 16))
+    if (!chargeHeap(Len > kMaxArrayLength ? kMaxHeapBytes + 1
+                                          : 32 + Len * 16))
       return;
     HeapArray Arr;
     Arr.Elems.assign(static_cast<size_t>(Len), Value::intV(0));

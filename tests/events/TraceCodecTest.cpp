@@ -83,7 +83,8 @@ FuzzEvent randomEvent(Rng &R, uint32_t NumSyms) {
   case EventKind::ArrayAlloc:
     randomObj();
     E.Tid = 0; // The codec does not record an allocating thread.
-    E.Aux = pick(R, 0, UINT64_MAX);
+    // Any length the VM can allocate; the reader rejects longer ones.
+    E.Aux = pick(R, 0, kMaxArrayLength);
     break;
   case EventKind::Acquire:
   case EventKind::Release:
@@ -569,6 +570,7 @@ TEST(TraceCodec, CorruptionsInsideTheWindowFailAsAtTheTail) {
 TEST(TraceCodec, HostileIdsFailCleanly) {
   const char *BadThread = "malformed trace: thread id out of range";
   const char *BadField = "malformed trace: field id out of range";
+  const char *BadLength = "malformed trace: array length out of range";
   struct Case {
     const char *Name;
     std::vector<uint8_t> Bad;
@@ -603,6 +605,14 @@ TEST(TraceCodec, HostileIdsFailCleanly) {
        bytes({{head(EventKind::Acquire, kTargetBoth), 0},
               varint(uint64_t(1) << (64 - kLocFieldBits + 1))}),
        "malformed trace: object id out of range"},
+      {"array of 2^40 elements",
+       bytes({{head(EventKind::ArrayAlloc, kTargetBoth), 0},
+              varint(uint64_t(1) << 40)}),
+       BadLength},
+      {"array one past the length limit",
+       bytes({{head(EventKind::ArrayAlloc, kTargetBoth), 0},
+              varint(kMaxArrayLength + 1)}),
+       BadLength},
   };
   for (const Case &C : Cases) {
     // One symbol: every field id but 0 lies past the table.

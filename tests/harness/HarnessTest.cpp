@@ -169,18 +169,16 @@ TEST(Harness, GeomeanOverheadBehaves) {
 }
 
 TEST(Harness, BenchArgsParsing) {
-  const char *Argv[] = {"prog",      "--small",  "--iters=7",
-                        "--seed=42", "--jobs=3", "--ast"};
-  BenchArgs Args = parseBenchArgs(6, const_cast<char **>(Argv));
+  const char *Argv[] = {"prog", "--small", "--iters=7", "--seed=42",
+                        "--jobs=3"};
+  BenchArgs Args = parseBenchArgs(5, const_cast<char **>(Argv));
   EXPECT_EQ(Args.Scale, SuiteScale::Test);
   EXPECT_EQ(Args.Opts.Iterations, 7);
   EXPECT_EQ(Args.Opts.Seed, 42u);
   EXPECT_EQ(Args.Opts.Jobs, 3u);
-  EXPECT_FALSE(Args.Opts.UseBytecode);
   BenchArgs Defaults = parseBenchArgs(1, const_cast<char **>(Argv));
   EXPECT_EQ(Defaults.Scale, SuiteScale::Bench);
   EXPECT_EQ(Defaults.Opts.Jobs, 0u);
-  EXPECT_TRUE(Defaults.Opts.UseBytecode);
   // --iters=0 is a legitimate counters-only request, not clamped.
   const char *Zero[] = {"prog", "--iters=0"};
   EXPECT_EQ(parseBenchArgs(2, const_cast<char **>(Zero)).Opts.Iterations, 0);
@@ -223,6 +221,19 @@ TEST(Harness, BenchArgsRejectMalformedNumbers) {
   const char *NotANumber[] = {"prog", "--iters=abc"};
   EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(NotANumber)),
               testing::ExitedWithCode(1), "expects an integer");
+}
+
+// An unknown flag exits too, so a bench never runs with settings other
+// than those asked for: --ast (the AST walker is a test-only reference)
+// and a typo of a real flag.
+TEST(Harness, BenchArgsRejectUnknownOptions) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char *Ast[] = {"prog", "--small", "--ast"};
+  EXPECT_EXIT(parseBenchArgs(3, const_cast<char **>(Ast)),
+              testing::ExitedWithCode(1), "unknown option '--ast'");
+  const char *Typo[] = {"prog", "--iter=3"};
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(Typo)),
+              testing::ExitedWithCode(1), "unknown option '--iter=3'");
 }
 
 TEST(TablePrinterTest, AlignsColumnsAndHeaderRule) {
