@@ -50,41 +50,6 @@ using namespace bigfoot;
 
 namespace {
 
-constexpr int kNumConfigs = 6;
-const char *kConfigNames[kNumConfigs] = {"fasttrack", "redcard", "slimstate",
-                                         "slimcard",  "bigfoot", "djit"};
-/// Placement trace each config replays: 0 = FastTrack (every access),
-/// 1 = RedCard, 2 = BigFoot — mirrors harness/Experiment.cpp.
-constexpr int kConfigPlacement[kNumConfigs] = {0, 1, 0, 1, 2, 0};
-
-DetectorConfig configFor(int Idx, const DetectorConfig &Recorded) {
-  switch (Idx) {
-  case 0:
-    return fastTrackConfig();
-  case 1:
-    return redCardConfig(Recorded.FieldProxy);
-  case 2:
-    return slimStateConfig();
-  case 3:
-    return slimCardConfig(Recorded.FieldProxy);
-  case 4:
-    return bigFootConfig(Recorded.FieldProxy);
-  default:
-    return djitConfig();
-  }
-}
-
-InstrumentedProgram instrumentPlacement(const Program &P, int Placement) {
-  switch (Placement) {
-  case 0:
-    return instrumentFastTrack(P);
-  case 1:
-    return instrumentRedCard(P);
-  default:
-    return instrumentBigFoot(P);
-  }
-}
-
 /// Below this many replayed events a timed sample measures per-replay
 /// fixed costs (TraceReader setup, detector construction) rather than
 /// per-event filter cost — the old ~7us replay rows — so the cell is
@@ -124,7 +89,7 @@ struct ConfigCell {
 
 struct WorkloadRow {
   std::string Workload;
-  ConfigCell Cells[kNumConfigs];
+  ConfigCell Cells[kNumTools];
 };
 
 /// The two sides of an on/off pair must be indistinguishable in every
@@ -160,10 +125,10 @@ WorkloadRow measureWorkload(const Workload &W, const BenchArgs &Args) {
   // Record each placement's event stream once, detector-free (the VM
   // still executes the placed checks, so the stream equals an attached
   // run's).
-  std::vector<uint8_t> Traces[3];
-  InstrumentedProgram Programs[3];
-  for (int P = 0; P < 3; ++P) {
-    Programs[P] = instrumentPlacement(*PR.Prog, P);
+  std::vector<uint8_t> Traces[kNumPlacements];
+  InstrumentedProgram Programs[kNumPlacements];
+  for (size_t P = 0; P < kNumPlacements; ++P) {
+    Programs[P] = instrumentPlacement(*PR.Prog, static_cast<PlacementKind>(P));
     Programs[P].Prog->internSymbols();
     TraceWriter Writer(Programs[P].Prog->symbols(), Programs[P].Tool);
     VmOptions Rec;
@@ -175,21 +140,16 @@ WorkloadRow measureWorkload(const Workload &W, const BenchArgs &Args) {
                    W.Name.c_str(), Run.Error.c_str());
       std::abort();
     }
-    TraceSummary S;
-    S.Ok = Run.Ok;
-    S.Output = Run.Output;
-    S.StatementsExecuted = Run.StatementsExecuted;
-    for (const auto &[Name, Value] : Run.Counters.all())
-      if (Name.rfind("tool.", 0) != 0)
-        S.Counters[Name] = Value;
-    Writer.finish(S);
+    Writer.finish(Run.traceSummary());
     Traces[P] = Writer.buffer();
   }
 
-  for (int C = 0; C < kNumConfigs; ++C) {
+  for (size_t C = 0; C < kNumTools; ++C) {
+    const ToolSpec &Tool = kTools[C];
     ConfigCell &Cell = Row.Cells[C];
-    const std::vector<uint8_t> &Trace = Traces[kConfigPlacement[C]];
-    std::string Tag = W.Name + "/" + kConfigNames[C];
+    const auto Placement = static_cast<size_t>(Tool.Placement);
+    const std::vector<uint8_t> &Trace = Traces[Placement];
+    std::string Tag = W.Name + "/" + Tool.Name;
 
     auto replayOnce = [&](bool Filter, ReplayResult *Sample) {
       ReplayOptions RO;
@@ -200,7 +160,7 @@ WorkloadRow measureWorkload(const Workload &W, const BenchArgs &Args) {
                      Reader.error().c_str());
         std::abort();
       }
-      DetectorConfig Cfg = configFor(C, Reader.config());
+      DetectorConfig Cfg = Tool.Config(Reader.config().FieldProxy);
       ReplayResult R = replayTrace(Reader, Cfg, RO);
       if (!R.Ok) {
         std::fprintf(stderr, "%s: replay failed: %s\n", Tag.c_str(),
@@ -264,8 +224,8 @@ WorkloadRow measureWorkload(const Workload &W, const BenchArgs &Args) {
     // End-to-end: the same config driven by live execution, same
     // warmup/batch/alternation discipline (batches are smaller — the VM
     // dominates, so single runs already sit at the millisecond scale).
-    const InstrumentedProgram &IP = Programs[kConfigPlacement[C]];
-    DetectorConfig ExecCfg = configFor(C, IP.Tool);
+    const InstrumentedProgram &IP = Programs[Placement];
+    DetectorConfig ExecCfg = Tool.Config(IP.Tool.FieldProxy);
     auto execOnce = [&](bool Filter) {
       VmOptions Opts;
       Opts.Seed = Args.Opts.Seed;
@@ -324,12 +284,12 @@ int main(int Argc, char **Argv) {
   TablePrinter Table("Check filter: detector ns/event, filter off -> on");
   Table.addRow(
       {"Program", "Config", "Off", "On", "Speedup", "FHit", "AHit"});
-  std::vector<double> Speedups[kNumConfigs], ExecSpeedups[kNumConfigs];
+  std::vector<double> Speedups[kNumTools], ExecSpeedups[kNumTools];
   for (const WorkloadRow &R : Rows)
-    for (int C = 0; C < kNumConfigs; ++C) {
+    for (size_t C = 0; C < kNumTools; ++C) {
       const ConfigCell &Cell = R.Cells[C];
       if (Cell.Skipped) {
-        Table.addRow({R.Workload, kConfigNames[C], "-", "-", "skip",
+        Table.addRow({R.Workload, kTools[C].Name, "-", "-", "skip",
                       TablePrinter::num(
                           ConfigCell::rate(Cell.FieldHits, Cell.FieldMisses),
                           2),
@@ -339,7 +299,7 @@ int main(int Argc, char **Argv) {
         continue;
       }
       Table.addRow(
-          {R.Workload, kConfigNames[C],
+          {R.Workload, kTools[C].Name,
            TablePrinter::num(Cell.nsPerEventOff(), 1),
            TablePrinter::num(Cell.nsPerEventOn(), 1),
            TablePrinter::num(Cell.speedup(), 2),
@@ -352,8 +312,8 @@ int main(int Argc, char **Argv) {
       if (Cell.execSpeedup() > 0)
         ExecSpeedups[C].push_back(Cell.execSpeedup());
     }
-  for (int C = 0; C < kNumConfigs; ++C)
-    Table.addRow({"GeoMean", kConfigNames[C], "", "",
+  for (size_t C = 0; C < kNumTools; ++C)
+    Table.addRow({"GeoMean", kTools[C].Name, "", "",
                   TablePrinter::num(geomeanOf(Speedups[C]), 2), ""});
   Table.print(std::cout);
   std::cout << "(skip = trace under " << kMinTimedEvents
@@ -366,7 +326,7 @@ int main(int Argc, char **Argv) {
   for (const WorkloadRow &R : Rows) {
     Json += (FirstW ? "\"" : ",\"") + R.Workload + "\":{";
     FirstW = false;
-    for (int C = 0; C < kNumConfigs; ++C) {
+    for (size_t C = 0; C < kNumTools; ++C) {
       const ConfigCell &Cell = R.Cells[C];
       char Buf[512];
       std::snprintf(
@@ -378,7 +338,7 @@ int main(int Argc, char **Argv) {
           "\"field_misses\":%llu,\"array_hits\":%llu,"
           "\"array_misses\":%llu,\"speedup\":%.3f,"
           "\"exec_speedup\":%.3f}",
-          C ? "," : "", kConfigNames[C], Cell.Skipped ? "true" : "false",
+          C ? "," : "", kTools[C].Name, Cell.Skipped ? "true" : "false",
           Cell.ReplayOnS, Cell.ReplayOffS, Cell.ExecOnS, Cell.ExecOffS,
           static_cast<unsigned long long>(Cell.Events),
           Cell.nsPerEventOn(), Cell.nsPerEventOff(),
@@ -394,12 +354,12 @@ int main(int Argc, char **Argv) {
     Json += "}";
   }
   Json += "},\"configs\":{";
-  for (int C = 0; C < kNumConfigs; ++C) {
+  for (size_t C = 0; C < kNumTools; ++C) {
     char Buf[192];
     std::snprintf(Buf, sizeof(Buf),
                   "%s\"%s\":{\"geomean_speedup\":%.3f,"
                   "\"geomean_exec_speedup\":%.3f}",
-                  C ? "," : "", kConfigNames[C], geomeanOf(Speedups[C]),
+                  C ? "," : "", kTools[C].Name, geomeanOf(Speedups[C]),
                   geomeanOf(ExecSpeedups[C]));
     Json += Buf;
   }

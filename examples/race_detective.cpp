@@ -78,7 +78,8 @@ int report(const char *Title, const std::string &Source) {
   std::cout << "=== " << Title << " ===\n";
   auto Prog = parseProgramOrDie(Source.c_str());
   int TotalRaces = 0;
-  for (InstrumentedProgram &IP : instrumentAll(*Prog)) {
+  for (const ToolSpec &T : kTools) {
+    InstrumentedProgram IP = instrumentTool(*Prog, T);
     VmOptions Opts;
     Opts.Seed = 7;
     VmResult Run = runProgram(*IP.Prog, IP.Tool, Opts);

@@ -101,14 +101,17 @@ template <bool Checked> int64_t readSVar(Cursor<Checked> &C) {
 enum class Step { Event, End, Error, Retry };
 
 /// Decodes the event at C.P into \p E, against the delta state \p LastObj
-/// and \p LastBegin; field ids must be below \p NumFields. The delta state
-/// changes only on Step::Event. An unchecked cursor returns Step::Retry,
+/// and \p LastBegin; field ids must be below \p NumFields. \p ArrayElems
+/// is the length of every array allocated so far, which must stay within
+/// kMaxArrayLength: the VM charges each element against its heap cap, so
+/// no run allocates more. The delta state and \p ArrayElems change only
+/// on Step::Event. An unchecked cursor returns Step::Retry,
 /// having changed nothing but \p E, when a payload list may reach past
 /// the bytes it has proven; the event then decodes again from its first
 /// byte under a checked cursor.
 template <bool Checked>
 Step decodeEvent(Cursor<Checked> &C, Event &E, uint64_t &LastObj,
-                 int64_t &LastBegin, uint64_t NumFields,
+                 int64_t &LastBegin, uint64_t &ArrayElems, uint64_t NumFields,
                  std::vector<uint32_t> &Payload) {
   uint8_t Head = C.byte();
   if (Head == kEventsEnd)
@@ -192,6 +195,10 @@ Step decodeEvent(Cursor<Checked> &C, Event &E, uint64_t &LastObj,
     E.Aux = readVar(C);
     if (E.Aux > kMaxArrayLength)
       C.fail("malformed trace: array length out of range");
+    else if (E.Aux > kMaxArrayLength - ArrayElems)
+      C.fail("malformed trace: arrays exceed the VM heap cap");
+    else if (!C.Err) // Nothing after the length can fail: this commits.
+      ArrayElems += E.Aux;
     break;
   case EventKind::Acquire:
   case EventKind::Release:
@@ -416,6 +423,7 @@ bool TraceReader::open(const uint8_t *D, size_t N) {
   NumEvents = 0;
   LastObj = 0;
   LastBegin = 0;
+  ArrayElems = 0;
   Syms = SymbolTable();
   Config = DetectorConfig();
   Summary = TraceSummary();
@@ -508,7 +516,8 @@ size_t TraceReader::nextBatch(Event *Out, size_t Max,
   const char *Why = nullptr;
   size_t N = 0;
   auto Decode = [&](auto C) {
-    Step S = decodeEvent(C, Out[N], Obj, Begin, NumFields, Payload);
+    Step S =
+        decodeEvent(C, Out[N], Obj, Begin, ArrayElems, NumFields, Payload);
     if (S != Step::Retry) {
       P = C.P;
       Why = C.Err;

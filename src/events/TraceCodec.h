@@ -103,8 +103,8 @@ private:
 /// corruption, unknown tags, ids a detector cannot index) surface as
 /// ok() == false with a message — never as a crash or an out-of-bounds
 /// read. Thread ids must be below kMaxThreads, field ids below
-/// symbols().size(), object ids must fit a LocId and array lengths must
-/// not pass kMaxArrayLength.
+/// symbols().size(), object ids must fit a LocId, and array lengths must
+/// not pass kMaxArrayLength, each alone or all of them summed.
 class TraceReader {
 public:
   /// Parses the header from \p Data (not owned; must outlive the
@@ -152,6 +152,8 @@ private:
   // Delta state (mirrors the writer).
   uint64_t LastObj = 0;
   int64_t LastBegin = 0;
+  /// Summed length of the arrays decoded so far.
+  uint64_t ArrayElems = 0;
 
   bool fail(const std::string &Message);
   bool getByte(uint8_t &B);

@@ -8,16 +8,15 @@
 // without contaminating its numbers:
 //
 //   1. Counters (check ratios, shadow ops, races, peak shadow memory,
-//      static placement stats) come from untimed runs. In replay mode
-//      (the default) this is record-once/replay-many: the six detector
-//      configs share only three distinct check placements (SlimState
-//      rides FastTrack's, SlimCard rides RedCard's, DJIT+ rides
-//      FastTrack's), so each workload executes once per placement with a
-//      TraceWriter on the event stream and every config is then replayed
-//      offline from the recorded trace — 3 executions + 6 replays instead
-//      of 6 instrumented executions, with bytewise-identical results
+//      static placement stats) come from untimed runs, recorded once and
+//      replayed many times: the six detector configs share only three
+//      distinct check placements (kTools in instrument/Instrumenters.h),
+//      so each workload executes once per placement with a TraceWriter
+//      on the event stream and every config is then replayed offline
+//      from its placement's trace — 3 executions + 6 replays instead of
+//      6 instrumented executions, with bytewise-identical results
 //      (detectors are passive consumers; the harness test enforces the
-//      identity). --no-replay falls back to one execution per config.
+//      identity against direct runs).
 //      Cells are independent — each parses its own Program (the VM
 //      re-interns the AST at attach, so jobs must not share one) and
 //      writes only its pre-assigned slot — and are distributed over a
@@ -69,41 +68,8 @@ const ToolMetrics &ExperimentResult::tool(const std::string &Name) const {
 
 namespace {
 
-/// fasttrack, redcard, slimstate, slimcard, bigfoot, djit — the fixed
-/// Tools order (djit is an extra baseline beyond the paper's five).
-constexpr int kNumTools = 6;
-constexpr int kBigFootIdx = 4;
-
-/// The six configs share three distinct placements. kPlacementTool names
-/// the representative instrumenter per placement; kToolPlacement maps
-/// each tool to the placement whose trace it replays.
-constexpr int kNumPlacements = 3;
-constexpr int kPlacementTool[kNumPlacements] = {0, 1, kBigFootIdx};
-constexpr int kToolPlacement[kNumTools] = {0, 1, 0, 1, 2, 0};
-constexpr const char *kPlacementName[kNumPlacements] = {"fasttrack",
-                                                        "redcard", "bigfoot"};
-
 /// One workload's recorded traces, indexed by placement.
 using PlacementTraces = std::array<std::vector<uint8_t>, kNumPlacements>;
-
-/// The detector config tool \p ToolIdx replays a trace under. Proxy maps
-/// are placement properties, so they come from the recorded config.
-DetectorConfig replayConfigFor(int ToolIdx, const DetectorConfig &Recorded) {
-  switch (ToolIdx) {
-  case 0:
-    return fastTrackConfig();
-  case 1:
-    return redCardConfig(Recorded.FieldProxy);
-  case 2:
-    return slimStateConfig();
-  case 3:
-    return slimCardConfig(Recorded.FieldProxy);
-  case kBigFootIdx:
-    return bigFootConfig(Recorded.FieldProxy);
-  default:
-    return djitConfig();
-  }
-}
 
 VmOptions vmOptionsFor(const ExperimentOptions &Opts) {
   VmOptions VmOpts;
@@ -121,27 +87,6 @@ ParseResult parseWorkload(const Workload &W) {
     std::abort();
   }
   return PR;
-}
-
-InstrumentedProgram instrumentFor(const Program &Prog, int ToolIdx) {
-  switch (ToolIdx) {
-  case 0:
-    return instrumentFastTrack(Prog);
-  case 1:
-    return instrumentRedCard(Prog);
-  case 2:
-    return instrumentSlimState(Prog);
-  case 3:
-    return instrumentSlimCard(Prog);
-  case kBigFootIdx:
-    return instrumentBigFoot(Prog);
-  default: {
-    // DJIT+ (vector clocks everywhere) on the per-access placement.
-    InstrumentedProgram Djit = instrumentFastTrack(Prog);
-    Djit.Tool = djitConfig();
-    return Djit;
-  }
-  }
 }
 
 /// Best-of-N timed run; returns the last result (all runs are
@@ -181,8 +126,7 @@ void measureBase(const Workload &W, const ExperimentOptions &Opts,
   Out.BaseHeapBytes = Run.Counters.get("vm.heapBytes");
 }
 
-/// Metric extraction shared by the executed and the replayed paths —
-/// both produce the same DetectResult, so metrics fill identically.
+/// A replayed run's metrics.
 void fillToolMetrics(ToolMetrics &M, const std::string &ToolName,
                      const DetectResult &Run) {
   const Stats &Counters = Run.Counters;
@@ -203,39 +147,16 @@ void fillToolMetrics(ToolMetrics &M, const std::string &ToolName,
   M.FilterTableBytes = Run.FilterTableBytes;
 }
 
-/// Phase-1 cell: one instrumented configuration's counters, measured by
-/// executing it. Writes only Out.Tools[ToolIdx] (pre-sized by the
-/// caller) and, for BigFoot, the static placement stats.
-void measureTool(const Workload &W, const ExperimentOptions &Opts,
-                 int ToolIdx, ExperimentResult &Out) {
-  ParseResult PR = parseWorkload(W);
-  InstrumentedProgram IP = instrumentFor(*PR.Prog, ToolIdx);
-  if (ToolIdx == kBigFootIdx) {
-    Out.StaticSeconds = IP.Placement.AnalysisSeconds;
-    Out.MethodsProcessed = IP.Placement.MethodsProcessed;
-    Out.BigFootChecks = IP.Placement.ChecksInserted;
-  }
-  VmOptions VmOpts = vmOptionsFor(Opts);
-  VmResult Run = runProgram(*IP.Prog, IP.Tool, VmOpts);
-  if (!Run.Ok) {
-    std::fprintf(stderr, "workload %s under %s failed: %s\n", W.Name.c_str(),
-                 IP.Tool.Name.c_str(), Run.Error.c_str());
-    std::abort();
-  }
-  ToolMetrics &M = Out.Tools[static_cast<size_t>(ToolIdx)];
-  fillToolMetrics(M, IP.Tool.Name, Run);
-}
-
 /// Record-wave cell: execute one placement with a TraceWriter on the
 /// event stream and no detector attached. The VM still executes the
 /// placed checks, so the run's vm.* counters, output, and schedule are
 /// exactly those of a detector-attached run.
 void measureRecord(const Workload &W, const ExperimentOptions &Opts,
-                   int Placement, ExperimentResult &Out,
+                   PlacementKind Placement, ExperimentResult &Out,
                    std::vector<uint8_t> &TraceBytes) {
   ParseResult PR = parseWorkload(W);
-  InstrumentedProgram IP = instrumentFor(*PR.Prog, kPlacementTool[Placement]);
-  if (kPlacementTool[Placement] == kBigFootIdx) {
+  InstrumentedProgram IP = instrumentPlacement(*PR.Prog, Placement);
+  if (Placement == PlacementKind::BigFoot) {
     Out.StaticSeconds = IP.Placement.AnalysisSeconds;
     Out.MethodsProcessed = IP.Placement.MethodsProcessed;
     Out.BigFootChecks = IP.Placement.ChecksInserted;
@@ -255,7 +176,7 @@ void measureRecord(const Workload &W, const ExperimentOptions &Opts,
   if (!Opts.RecordDir.empty()) {
     ::mkdir(Opts.RecordDir.c_str(), 0777); // EEXIST is fine; races are too.
     std::string Path = Opts.RecordDir + "/" + W.Name + "." +
-                       kPlacementName[Placement] + ".bft";
+                       placementName(Placement) + ".bft";
     if (!Writer.writeFile(Path))
       std::fprintf(stderr, "warning: could not write trace %s\n",
                    Path.c_str());
@@ -263,15 +184,15 @@ void measureRecord(const Workload &W, const ExperimentOptions &Opts,
 }
 
 /// Appends the six per-tool replay jobs for one workload's placement
-/// traces, in Tools order, for replayTracesParallel.
+/// traces, in kTools order, for replayTracesParallel.
 void appendReplayJobs(const PlacementTraces &Traces,
                       const ExperimentOptions &Opts,
                       std::vector<ReplayJob> &Jobs) {
-  for (int T = 0; T < kNumTools; ++T) {
+  for (const ToolSpec &T : kTools) {
     ReplayJob J;
-    J.Trace = &Traces[static_cast<size_t>(kToolPlacement[T])];
-    J.MakeConfig = [T](const DetectorConfig &Recorded) {
-      return replayConfigFor(T, Recorded);
+    J.Trace = &Traces[static_cast<size_t>(T.Placement)];
+    J.MakeConfig = [&T](const DetectorConfig &Recorded) {
+      return T.Config(Recorded.FieldProxy);
     };
     static_cast<DetectOptions &>(J.Opts) = Opts;
     Jobs.push_back(std::move(J));
@@ -282,15 +203,14 @@ void appendReplayJobs(const PlacementTraces &Traces,
 /// results into its metrics slots.
 void fillReplayMetrics(const Workload &W, const ReplayResult *Results,
                        ExperimentResult &Out) {
-  for (int T = 0; T < kNumTools; ++T) {
+  for (size_t T = 0; T < kNumTools; ++T) {
     const ReplayResult &Run = Results[T];
     if (!Run.Ok) {
       std::fprintf(stderr, "workload %s replay under %s failed: %s\n",
                    W.Name.c_str(), Run.Tool.c_str(), Run.Error.c_str());
       std::abort();
     }
-    ToolMetrics &M = Out.Tools[static_cast<size_t>(T)];
-    fillToolMetrics(M, Run.Tool, Run);
+    fillToolMetrics(Out.Tools[T], Run.Tool, Run);
   }
 }
 
@@ -312,8 +232,8 @@ void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
   }
   Out.BaseSeconds = BaseSec;
 
-  for (int T = 0; T < kNumTools; ++T) {
-    InstrumentedProgram IP = instrumentFor(Prog, T);
+  for (size_t T = 0; T < kNumTools; ++T) {
+    InstrumentedProgram IP = instrumentTool(Prog, kTools[T]);
     auto [ToolSec, Run] = timedBest(Opts.Iterations, [&IP, &VmOpts] {
       return runProgram(*IP.Prog, IP.Tool, VmOpts);
     });
@@ -322,42 +242,13 @@ void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
                    W.Name.c_str(), IP.Tool.Name.c_str(), Run.Error.c_str());
       std::abort();
     }
-    ToolMetrics &M = Out.Tools[static_cast<size_t>(T)];
+    ToolMetrics &M = Out.Tools[T];
     M.Seconds = ToolSec;
     M.OverheadX = Out.BaseSeconds > 0
                       ? (ToolSec - Out.BaseSeconds) / Out.BaseSeconds
                       : 0;
   }
 }
-
-} // namespace
-
-ExperimentResult bigfoot::runExperiment(const Workload &W,
-                                        const ExperimentOptions &Opts) {
-  ExperimentResult Out;
-  Out.Workload = W.Name;
-  Out.Tools.resize(kNumTools);
-  measureBase(W, Opts, Out);
-  PlacementTraces Traces;
-  if (Opts.UseReplay) {
-    for (int P = 0; P < kNumPlacements; ++P)
-      measureRecord(W, Opts, P, Out, Traces[static_cast<size_t>(P)]);
-    // The six replays are independent detector rebuilds; shard them.
-    std::vector<ReplayJob> Jobs;
-    Jobs.reserve(kNumTools);
-    appendReplayJobs(Traces, Opts, Jobs);
-    std::vector<ReplayResult> Replays = replayTracesParallel(Jobs, Opts.Jobs);
-    fillReplayMetrics(W, Replays.data(), Out);
-  } else {
-    for (int T = 0; T < kNumTools; ++T)
-      measureTool(W, Opts, T, Out);
-  }
-  if (Opts.Iterations > 0)
-    timeWorkload(W, Opts, Out);
-  return Out;
-}
-
-namespace {
 
 /// Runs Fn(0..Count) over a fixed pool of \p Jobs threads (0 = one per
 /// hardware thread). Work items must be independent and write disjoint
@@ -385,11 +276,9 @@ void forEachParallel(size_t Count, unsigned JobsOpt,
     T.join();
 }
 
-} // namespace
-
-std::vector<ExperimentResult>
-bigfoot::runSuite(SuiteScale Scale, const ExperimentOptions &Opts) {
-  std::vector<Workload> Suite = standardSuite(Scale);
+/// Phases 1 and 2 over \p Suite, one result per workload in order.
+std::vector<ExperimentResult> runWorkloads(const std::vector<Workload> &Suite,
+                                           const ExperimentOptions &Opts) {
   std::vector<ExperimentResult> Out(Suite.size());
   for (size_t I = 0; I < Suite.size(); ++I) {
     Out[I].Workload = Suite[I].Name;
@@ -398,68 +287,58 @@ bigfoot::runSuite(SuiteScale Scale, const ExperimentOptions &Opts) {
 
   // Phase 1. Every cell writes a disjoint part of its workload's
   // pre-sized result, so workers never contend and order never depends on
-  // scheduling.
-  std::vector<PlacementTraces> Traces;
-  if (Opts.UseReplay) {
-    // Wave 1: base + one recording per distinct placement (4 executions
-    // per workload). Wave 2 (after the barrier): replay all six configs
-    // from the in-memory traces.
-    Traces.resize(Suite.size());
-    struct RecCell {
-      size_t W;
-      int Placement; ///< -1 = base.
-    };
-    std::vector<RecCell> Wave1;
-    Wave1.reserve(Suite.size() * (kNumPlacements + 1));
-    for (size_t I = 0; I < Suite.size(); ++I) {
-      Wave1.push_back({I, -1});
-      for (int P = 0; P < kNumPlacements; ++P)
-        Wave1.push_back({I, P});
-    }
-    forEachParallel(Wave1.size(), Opts.Jobs, [&](size_t I) {
-      const RecCell &C = Wave1[I];
-      if (C.Placement < 0)
-        measureBase(Suite[C.W], Opts, Out[C.W]);
-      else
-        measureRecord(Suite[C.W], Opts, C.Placement, Out[C.W],
-                      Traces[C.W][static_cast<size_t>(C.Placement)]);
-    });
-    // Wave 2 is one flat parallel replay: every (workload × tool) trace
-    // replays as an independent job, results landing slot-indexed so the
-    // output is identical for any thread count.
-    std::vector<ReplayJob> Jobs;
-    Jobs.reserve(Suite.size() * kNumTools);
-    for (size_t W = 0; W < Suite.size(); ++W)
-      appendReplayJobs(Traces[W], Opts, Jobs);
-    std::vector<ReplayResult> Replays = replayTracesParallel(Jobs, Opts.Jobs);
-    for (size_t W = 0; W < Suite.size(); ++W)
-      fillReplayMetrics(Suite[W], Replays.data() + W * kNumTools, Out[W]);
-  } else {
-    struct Cell {
-      size_t W;
-      int Tool; ///< -1 = base.
-    };
-    std::vector<Cell> Cells;
-    Cells.reserve(Suite.size() * (kNumTools + 1));
-    for (size_t I = 0; I < Suite.size(); ++I) {
-      Cells.push_back({I, -1});
-      for (int T = 0; T < kNumTools; ++T)
-        Cells.push_back({I, T});
-    }
-    forEachParallel(Cells.size(), Opts.Jobs, [&](size_t I) {
-      const Cell &C = Cells[I];
-      if (C.Tool < 0)
-        measureBase(Suite[C.W], Opts, Out[C.W]);
-      else
-        measureTool(Suite[C.W], Opts, C.Tool, Out[C.W]);
-    });
+  // scheduling. Wave 1: base + one recording per distinct placement (4
+  // executions per workload). Wave 2 (after the barrier): replay all six
+  // configs from the in-memory traces.
+  std::vector<PlacementTraces> Traces(Suite.size());
+  struct RecCell {
+    size_t W;
+    int Placement; ///< -1 = base.
+  };
+  std::vector<RecCell> Wave1;
+  Wave1.reserve(Suite.size() * (kNumPlacements + 1));
+  for (size_t I = 0; I < Suite.size(); ++I) {
+    Wave1.push_back({I, -1});
+    for (int P = 0; P < static_cast<int>(kNumPlacements); ++P)
+      Wave1.push_back({I, P});
   }
+  forEachParallel(Wave1.size(), Opts.Jobs, [&](size_t I) {
+    const RecCell &C = Wave1[I];
+    if (C.Placement < 0)
+      measureBase(Suite[C.W], Opts, Out[C.W]);
+    else
+      measureRecord(Suite[C.W], Opts,
+                    static_cast<PlacementKind>(C.Placement), Out[C.W],
+                    Traces[C.W][static_cast<size_t>(C.Placement)]);
+  });
+  // Wave 2 is one flat parallel replay: every (workload × tool) trace
+  // replays as an independent job, results landing slot-indexed so the
+  // output is identical for any thread count.
+  std::vector<ReplayJob> Jobs;
+  Jobs.reserve(Suite.size() * kNumTools);
+  for (size_t W = 0; W < Suite.size(); ++W)
+    appendReplayJobs(Traces[W], Opts, Jobs);
+  std::vector<ReplayResult> Replays = replayTracesParallel(Jobs, Opts.Jobs);
+  for (size_t W = 0; W < Suite.size(); ++W)
+    fillReplayMetrics(Suite[W], Replays.data() + W * kNumTools, Out[W]);
 
   // Phase 2: wall-clock timing on the now-quiesced pool.
   if (Opts.Iterations > 0)
     for (size_t I = 0; I < Suite.size(); ++I)
       timeWorkload(Suite[I], Opts, Out[I]);
   return Out;
+}
+
+} // namespace
+
+ExperimentResult bigfoot::runExperiment(const Workload &W,
+                                        const ExperimentOptions &Opts) {
+  return std::move(runWorkloads({W}, Opts).front());
+}
+
+std::vector<ExperimentResult>
+bigfoot::runSuite(SuiteScale Scale, const ExperimentOptions &Opts) {
+  return runWorkloads(standardSuite(Scale), Opts);
 }
 
 double bigfoot::geomeanOverhead(const std::vector<double> &Overheads) {
@@ -485,10 +364,6 @@ BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
     else if (std::strncmp(Arg, "--jobs=", 7) == 0)
       Args.Opts.Jobs =
           static_cast<unsigned>(parseNumericFlag(Arg, 0, UINT_MAX));
-    else if (std::strcmp(Arg, "--replay") == 0)
-      Args.Opts.UseReplay = true;
-    else if (std::strcmp(Arg, "--no-replay") == 0)
-      Args.Opts.UseReplay = false;
     else if (std::strncmp(Arg, "--record-dir=", 13) == 0)
       Args.Opts.RecordDir = Arg + 13;
     else if (std::strncmp(Arg, "--workload=", 11) == 0)

@@ -55,15 +55,13 @@ struct ExperimentResult {
   double StaticSeconds = 0;   ///< BigFoot placement time.
   unsigned MethodsProcessed = 0;
   unsigned BigFootChecks = 0; ///< check statements BigFoot materialized.
-  std::vector<ToolMetrics> Tools; ///< fasttrack, redcard, slimstate,
-                                  ///< slimcard, bigfoot, djit — in that
-                                  ///< order (djit is an extra baseline).
+  std::vector<ToolMetrics> Tools; ///< One per tool, in kTools order.
 
   const ToolMetrics &tool(const std::string &Name) const;
 };
 
 /// Experiment knobs; the detection knobs are the DetectOptions base and
-/// apply to execution and replay legs alike.
+/// apply to the timed runs and the counters phase's replays alike.
 struct ExperimentOptions : DetectOptions {
   int Iterations = 3; ///< Timed repetitions; the minimum is reported.
                       ///< 0 skips wall-clock timing entirely (counters,
@@ -75,21 +73,16 @@ struct ExperimentOptions : DetectOptions {
   /// runs stay serial on the quiesced pool afterwards — so Jobs changes
   /// neither the results nor their order, only the wall-clock spent.
   unsigned Jobs = 0;
-  /// Record-once/replay-many counters phase: execute each workload only
-  /// under its three distinct placements (FastTrack, RedCard, BigFoot),
-  /// recording the event stream, then replay all six detector configs
-  /// offline from those traces — 3 executions + 6 replays instead of 6
-  /// instrumented executions. Results are bytewise identical either way
-  /// (the harness test enforces it).
-  bool UseReplay = true;
-  /// When non-empty, recorded traces are also written into this directory
-  /// as <workload>.<placement>.bft (replay mode only).
+  /// When non-empty, the counters phase's recorded traces are also
+  /// written into this directory as <workload>.<placement>.bft.
   std::string RecordDir;
   /// Run detectors on a dedicated thread per VM (VmOptions::AsyncDetect).
+  /// Only the timed runs attach a detector to a VM; the counters phase
+  /// replays traces.
   bool AsyncDetect = false;
 };
 
-/// Runs all five detectors (plus the base) on one workload.
+/// Runs all six detectors (plus the base) on one workload.
 ExperimentResult runExperiment(const Workload &W,
                                const ExperimentOptions &Opts =
                                    ExperimentOptions());
@@ -104,9 +97,9 @@ runSuite(SuiteScale Scale,
 /// positive epsilon as is conventional.
 double geomeanOverhead(const std::vector<double> &Overheads);
 
-/// Parses --small/--iters=N/--seed=N/--jobs=N/--replay/--no-replay/
-/// --record-dir=DIR/--async-detect/--detect-shards=N|auto/--no-check-filter/
-/// --workload=NAME command-line options shared by the bench binaries.
+/// Parses --small/--iters=N/--seed=N/--jobs=N/--record-dir=DIR/
+/// --async-detect/--detect-shards=N|auto/--no-check-filter/--workload=NAME
+/// command-line options shared by the bench binaries.
 /// Numeric values are strict (see parseNumericFlag): a malformed or
 /// out-of-range value, or any other argument, exits with an error.
 struct BenchArgs {

@@ -1,4 +1,4 @@
-//===- Instrumenters.cpp - Check placement for all five tools ---------------===//
+//===- Instrumenters.cpp - Check placement and the six tools --------------===//
 //
 // Part of the BigFoot reproduction. See README.md for details.
 //
@@ -48,7 +48,7 @@ std::optional<Path> pathForAccess(const Stmt *S) {
 }
 
 //===----------------------------------------------------------------------===
-// FastTrack / SlimState placement: a check before every access.
+// FastTrack placement: a check before every access.
 //===----------------------------------------------------------------------===
 
 void insertPerAccessChecks(const Program &P, Stmt *S) {
@@ -347,12 +347,6 @@ InstrumentedProgram bigfoot::instrumentFastTrack(const Program &P) {
   return Out;
 }
 
-InstrumentedProgram bigfoot::instrumentSlimState(const Program &P) {
-  InstrumentedProgram Out = instrumentFastTrack(P);
-  Out.Tool = slimStateConfig();
-  return Out;
-}
-
 InstrumentedProgram bigfoot::instrumentRedCard(const Program &P) {
   InstrumentedProgram Out;
   Out.Prog = clonePrepared(P);
@@ -370,12 +364,6 @@ InstrumentedProgram bigfoot::instrumentRedCard(const Program &P) {
   return Out;
 }
 
-InstrumentedProgram bigfoot::instrumentSlimCard(const Program &P) {
-  InstrumentedProgram Out = instrumentRedCard(P);
-  Out.Tool = slimCardConfig(Out.Tool.FieldProxy);
-  return Out;
-}
-
 InstrumentedProgram
 bigfoot::instrumentBigFoot(const Program &P, const PlacementOptions &Opts) {
   InstrumentedProgram Out;
@@ -386,12 +374,44 @@ bigfoot::instrumentBigFoot(const Program &P, const PlacementOptions &Opts) {
   return Out;
 }
 
-std::vector<InstrumentedProgram> bigfoot::instrumentAll(const Program &P) {
-  std::vector<InstrumentedProgram> Out;
-  Out.push_back(instrumentFastTrack(P));
-  Out.push_back(instrumentRedCard(P));
-  Out.push_back(instrumentSlimState(P));
-  Out.push_back(instrumentSlimCard(P));
-  Out.push_back(instrumentBigFoot(P));
+const char *bigfoot::placementName(PlacementKind K) {
+  static constexpr const char *Names[kNumPlacements] = {"fasttrack",
+                                                        "redcard", "bigfoot"};
+  return Names[static_cast<size_t>(K)];
+}
+
+InstrumentedProgram bigfoot::instrumentPlacement(const Program &P,
+                                                 PlacementKind K) {
+  if (K == PlacementKind::FastTrack)
+    return instrumentFastTrack(P);
+  if (K == PlacementKind::RedCard)
+    return instrumentRedCard(P);
+  return instrumentBigFoot(P);
+}
+
+using ProxyMap = std::map<std::string, std::string>;
+
+const std::array<ToolSpec, kNumTools> bigfoot::kTools = {{
+    {"fasttrack", PlacementKind::FastTrack,
+     [](ProxyMap) { return fastTrackConfig(); }},
+    {"redcard", PlacementKind::RedCard, redCardConfig},
+    {"slimstate", PlacementKind::FastTrack,
+     [](ProxyMap) { return slimStateConfig(); }},
+    {"slimcard", PlacementKind::RedCard, slimCardConfig},
+    {"bigfoot", PlacementKind::BigFoot, bigFootConfig},
+    {"djit", PlacementKind::FastTrack, [](ProxyMap) { return djitConfig(); }},
+}};
+
+const ToolSpec *bigfoot::findTool(std::string_view Name) {
+  for (const ToolSpec &T : kTools)
+    if (Name == T.Name)
+      return &T;
+  return nullptr;
+}
+
+InstrumentedProgram bigfoot::instrumentTool(const Program &P,
+                                            const ToolSpec &T) {
+  InstrumentedProgram Out = instrumentPlacement(P, T.Placement);
+  Out.Tool = T.Config(std::move(Out.Tool.FieldProxy));
   return Out;
 }

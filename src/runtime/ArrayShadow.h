@@ -34,10 +34,10 @@
 
 namespace bigfoot {
 
-/// How long one array may be: the VM's 1 GiB heap cap at 16 bytes per
-/// element. The VM refuses a longer allocation and the trace reader
-/// rejects a longer ArrayAlloc, so a replay never sizes a shadow that no
-/// run could.
+/// How long one array, and all of a run's arrays together, may be: the
+/// VM's 1 GiB heap cap at 16 bytes per element. The VM refuses a longer
+/// allocation and the trace reader rejects a longer ArrayAlloc or a
+/// longer sum, so a replay never sizes shadows that no run could.
 inline constexpr uint64_t kMaxArrayLength = uint64_t(1) << 26;
 
 /// Result of applying one range check to an array shadow.

@@ -8,8 +8,7 @@
 // are a flat vector indexed by SymId, object fields a flat vector indexed
 // by FieldId, and every statement reads its pre-resolved sym caches
 // (Program::internSymbols). Strings are touched only off the hot path —
-// error messages, print output, and the event trace (which is gated on
-// VmOptions::RecordEventTrace before any rendering happens).
+// error messages and print output.
 //
 // Two execution modes share one scheduler and one set of effect helpers:
 // the default compiles each body to flat register bytecode (Compiler.h)
@@ -266,29 +265,6 @@ private:
     Publish("vm.heapBytes", VmHeapBytes);
   }
 
-  //===--- Event trace (tests only) --------------------------------------------
-
-  void traceSync(ThreadId Tid, TraceEvent::Kind K) {
-    if (!Opts.RecordEventTrace)
-      return;
-    TraceEvent E;
-    E.K = K;
-    E.Tid = Tid;
-    Result.Trace.push_back(std::move(E));
-  }
-
-  /// Callers gate on Opts.RecordEventTrace BEFORE rendering Loc, so the
-  /// hot path never builds location strings.
-  void traceLoc(ThreadId Tid, TraceEvent::Kind K, std::string Loc,
-                AccessKind Access) {
-    TraceEvent E;
-    E.K = K;
-    E.Tid = Tid;
-    E.Access = Access;
-    E.Loc = std::move(Loc);
-    Result.Trace.push_back(std::move(E));
-  }
-
   void setError(const std::string &Message) {
     if (Error.empty())
       Error = Message;
@@ -359,7 +335,10 @@ private:
     return F;
   }
 
-  Frame makeBcFrame(const Chunk *Ch) {
+  /// Out of line on purpose: inlined into the call and fork paths of the
+  /// scheduler's dispatch loop, it made uninstrumented runs ~10% slower
+  /// (perfbench base_s, GCC 12 -O3).
+  [[gnu::noinline]] Frame makeBcFrame(const Chunk *Ch) {
     assert(Ch && "method has no compiled chunk");
     Frame F;
     F.Locals.resize(Ch->NumRegs);
@@ -816,7 +795,7 @@ private:
   }
 
   void doFieldRead(ThreadCtx &T, SymId Target, SymId Object, FieldId Field,
-                   bool Volatile, const std::string &FieldName) {
+                   bool Volatile) {
     Frame &F = T.Frames.back();
     ObjectId Id = 0;
     HeapObject *Obj = objectOf(F, Object, &Id);
@@ -824,13 +803,9 @@ private:
       return;
     if (Volatile) {
       ++VmSyncOps;
-      traceSync(T.Tid, TraceEvent::Kind::Acquire);
       emitVolatile(EventKind::VolatileRead, T.Tid, Id, Field);
     } else {
       ++VmFieldAccesses;
-      if (Opts.RecordEventTrace)
-        traceLoc(T.Tid, TraceEvent::Kind::Access,
-                 lockey::objField(Id, FieldName), AccessKind::Read);
       if (EmitOracle)
         emitOracleField(T.Tid, Id, Field, AccessKind::Read);
     }
@@ -838,7 +813,7 @@ private:
   }
 
   void doFieldWrite(ThreadCtx &T, SymId Object, FieldId Field, Value V,
-                    bool Volatile, const std::string &FieldName) {
+                    bool Volatile) {
     Frame &F = T.Frames.back();
     ObjectId Id = 0;
     HeapObject *Obj = objectOf(F, Object, &Id);
@@ -846,13 +821,9 @@ private:
       return;
     if (Volatile) {
       ++VmSyncOps;
-      traceSync(T.Tid, TraceEvent::Kind::Release);
       emitVolatile(EventKind::VolatileWrite, T.Tid, Id, Field);
     } else {
       ++VmFieldAccesses;
-      if (Opts.RecordEventTrace)
-        traceLoc(T.Tid, TraceEvent::Kind::Access,
-                 lockey::objField(Id, FieldName), AccessKind::Write);
       if (EmitOracle)
         emitOracleField(T.Tid, Id, Field, AccessKind::Write);
     }
@@ -871,9 +842,6 @@ private:
       return;
     }
     ++VmArrayAccesses;
-    if (Opts.RecordEventTrace)
-      traceLoc(T.Tid, TraceEvent::Kind::Access, lockey::arrayElem(Id, Idx.I),
-               AccessKind::Read);
     if (EmitOracle)
       emitOracleElem(T.Tid, Id, Idx.I, AccessKind::Read);
     local(F, Target) = Arr->Elems[static_cast<size_t>(Idx.I)];
@@ -891,9 +859,6 @@ private:
       return;
     }
     ++VmArrayAccesses;
-    if (Opts.RecordEventTrace)
-      traceLoc(T.Tid, TraceEvent::Kind::Access, lockey::arrayElem(Id, Idx.I),
-               AccessKind::Write);
     if (EmitOracle)
       emitOracleElem(T.Tid, Id, Idx.I, AccessKind::Write);
     Arr->Elems[static_cast<size_t>(Idx.I)] = V;
@@ -921,7 +886,6 @@ private:
     Obj->LockOwner = static_cast<int32_t>(T.Tid);
     Obj->LockDepth = 1;
     ++VmSyncOps;
-    traceSync(T.Tid, TraceEvent::Kind::Acquire);
     emitSync(EventKind::Acquire, T.Tid, Id);
     return StepResult::Progress;
   }
@@ -939,7 +903,6 @@ private:
       return;
     Obj->LockOwner = -1;
     ++VmSyncOps;
-    traceSync(T.Tid, TraceEvent::Kind::Release);
     emitSync(EventKind::Release, T.Tid, Id);
   }
 
@@ -954,7 +917,6 @@ private:
     if (!Joined.Finished)
       return StepResult::Blocked;
     ++VmSyncOps;
-    traceSync(T.Tid, TraceEvent::Kind::Acquire);
     emitSync(EventKind::Join, T.Tid, 0, Joined.Tid);
     return StepResult::Progress;
   }
@@ -970,7 +932,6 @@ private:
     if (!T.InBarrier) {
       T.InBarrier = true;
       T.WaitGen = B.Generation;
-      traceSync(T.Tid, TraceEvent::Kind::Release);
       B.Arrived.push_back(T.Tid);
       if (static_cast<int64_t>(B.Arrived.size()) == B.Parties) {
         ++VmSyncOps;
@@ -987,7 +948,6 @@ private:
     }
     if (B.Generation != T.WaitGen) {
       T.InBarrier = false;
-      traceSync(T.Tid, TraceEvent::Kind::Acquire);
       return StepResult::Progress;
     }
     return StepResult::Blocked;
@@ -1007,7 +967,6 @@ private:
     ThreadId ChildTid = Child->Tid;
     Threads.push_back(std::move(Child));
     ++VmSyncOps;
-    traceSync(T.Tid, TraceEvent::Kind::Release);
     emitSync(EventKind::Fork, T.Tid, 0, ChildTid);
     if (TargetSym != kNoSym)
       local(T.Frames.back(), TargetSym) =
@@ -1049,14 +1008,14 @@ private:
     case StmtKind::FieldRead: {
       const auto *Rd = cast<FieldReadStmt>(S);
       doFieldRead(T, Rd->TargetSym, Rd->ObjectSym, Rd->FieldSym,
-                  Prog.isFieldVolatileById(Rd->FieldSym), Rd->field());
+                  Prog.isFieldVolatileById(Rd->FieldSym));
       return StepResult::Progress;
     }
     case StmtKind::FieldWrite: {
       const auto *Wr = cast<FieldWriteStmt>(S);
       Value V = eval(F, Wr->value());
       doFieldWrite(T, Wr->ObjectSym, Wr->FieldSym, V,
-                   Prog.isFieldVolatileById(Wr->FieldSym), Wr->field());
+                   Prog.isFieldVolatileById(Wr->FieldSym));
       return StepResult::Progress;
     }
     case StmtKind::ArrayRead: {
@@ -1361,13 +1320,12 @@ private:
           break;
         case Opcode::FieldRead:
         case Opcode::FieldReadVol:
-          doFieldRead(T, I.A, I.B, I.C, I.Op == Opcode::FieldReadVol,
-                      Syms->name(I.C));
+          doFieldRead(T, I.A, I.B, I.C, I.Op == Opcode::FieldReadVol);
           break;
         case Opcode::FieldWrite:
         case Opcode::FieldWriteVol:
           doFieldWrite(T, I.A, I.C, Regs[I.B],
-                       I.Op == Opcode::FieldWriteVol, Syms->name(I.C));
+                       I.Op == Opcode::FieldWriteVol);
           break;
         case Opcode::ArrayRead:
           doArrayRead(T, I.A, I.B, Regs[I.C]);
@@ -1469,10 +1427,6 @@ private:
       }
       ObjectId Id = static_cast<ObjectId>(D.I);
       if (P.isField()) {
-        if (Opts.RecordEventTrace)
-          for (const std::string &Fld : P.Fields)
-            traceLoc(T.Tid, TraceEvent::Kind::Check,
-                     lockey::objField(Id, Fld), P.Access);
         Event E;
         E.Kind = EventKind::FieldCheck;
         E.Target = kTargetTool;
@@ -1492,10 +1446,6 @@ private:
       if (*Begin >= *End)
         continue; // Empty at run time (e.g. zero-trip invariant range).
       StridedRange Concrete(*Begin, *End, P.Range.Stride);
-      if (Opts.RecordEventTrace && Concrete.size() <= 10000)
-        for (int64_t Elem : Concrete.elements())
-          traceLoc(T.Tid, TraceEvent::Kind::Check, lockey::arrayElem(Id, Elem),
-                   P.Access);
       Event E;
       E.Kind = EventKind::ArrayCheck;
       E.Target = kTargetTool;

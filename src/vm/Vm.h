@@ -59,8 +59,6 @@ struct VmOptions : DetectOptions {
   /// (0 = only at synchronization). The Section 3.3 extension for loops
   /// that might not terminate.
   uint64_t CommitIntervalSteps = 0;
-  /// Record the per-thread access/check/sync event trace (tests only).
-  bool RecordEventTrace = false;
   /// Events per batch flushed from the VM's ring to its consumers
   /// (1 = per-event dispatch, the differential reference mode).
   size_t EventBatch = kDefaultEventBatch;
@@ -83,20 +81,9 @@ struct VmOptions : DetectOptions {
   size_t AsyncRingBatches = kDefaultAsyncRingBatches;
 };
 
-/// One entry of the recorded event trace (RecordEventTrace). Location
-/// keys are concrete: "obj#4.f" or "arr#7[3]".
-struct TraceEvent {
-  enum class Kind { Access, Check, Acquire, Release };
-  Kind K = Kind::Access;
-  ThreadId Tid = 0;
-  AccessKind Access = AccessKind::Read;
-  std::string Loc; ///< Empty for synchronization events.
-};
-
 /// Everything a run produces: the shared DetectResult fields plus what
 /// only execution has.
 struct VmResult : DetectResult {
-  std::vector<TraceEvent> Trace; ///< When VmOptions::RecordEventTrace.
   /// Wall-clock seconds for execution (always set): in async mode the
   /// producer's time — setup through drain start — including any
   /// backpressure stalls; in sync mode execution and detection combined.

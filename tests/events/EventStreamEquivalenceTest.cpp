@@ -31,21 +31,6 @@ using namespace bigfoot;
 
 namespace {
 
-/// The six configurations the paper's Figure 2 table evaluates, mirroring
-/// harness/Experiment.cpp.
-std::vector<InstrumentedProgram> allSixConfigs(const Program &P) {
-  std::vector<InstrumentedProgram> All;
-  All.push_back(instrumentFastTrack(P));
-  All.push_back(instrumentRedCard(P));
-  All.push_back(instrumentSlimState(P));
-  All.push_back(instrumentSlimCard(P));
-  All.push_back(instrumentBigFoot(P));
-  InstrumentedProgram Djit = instrumentFastTrack(P);
-  Djit.Tool = djitConfig();
-  All.push_back(std::move(Djit));
-  return All;
-}
-
 /// Everything two runs of the same program, seed and placement must
 /// agree on, whether each was executed or replayed and whatever the
 /// dispatch mode: status, output, counters, both race reports in order,
@@ -94,8 +79,8 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
     ParseResult PR = parseProgram(W.Source);
     ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
     PR.Prog->internSymbols(); // The trace header needs the symbol table.
-    std::vector<InstrumentedProgram> Configs = allSixConfigs(*PR.Prog);
-    for (const InstrumentedProgram &IP : Configs) {
+    for (const ToolSpec &T : kTools) {
+      InstrumentedProgram IP = instrumentTool(*PR.Prog, T);
       for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
         std::string Tag =
             W.Name + "/" + IP.Tool.Name + "/seed" + std::to_string(Seed);
@@ -204,8 +189,8 @@ TEST(EventStreamEquivalence, CheckFilterOnOffAgreeEverywhere) {
     ParseResult PR = parseProgram(W.Source);
     ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
     PR.Prog->internSymbols();
-    std::vector<InstrumentedProgram> Configs = allSixConfigs(*PR.Prog);
-    for (const InstrumentedProgram &IP : Configs) {
+    for (const ToolSpec &T : kTools) {
+      InstrumentedProgram IP = instrumentTool(*PR.Prog, T);
       for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
         std::string Tag = W.Name + "/" + IP.Tool.Name + "/seed" +
                           std::to_string(Seed) + "/filter";
@@ -269,7 +254,8 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
     ParseResult PR = parseProgram(W.Source);
     ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
     PR.Prog->internSymbols();
-    for (const InstrumentedProgram &IP : allSixConfigs(*PR.Prog)) {
+    for (const ToolSpec &T : kTools) {
+      InstrumentedProgram IP = instrumentTool(*PR.Prog, T);
       std::string Tag = W.Name + "/" + IP.Tool.Name + "/sharded-merge";
 
       VmOptions Opts;
@@ -373,7 +359,8 @@ thread {
   ParseResult PR = parseProgram(Source);
   ASSERT_TRUE(PR.ok()) << PR.Error;
   PR.Prog->internSymbols();
-  for (const InstrumentedProgram &IP : allSixConfigs(*PR.Prog)) {
+  for (const ToolSpec &T : kTools) {
+    InstrumentedProgram IP = instrumentTool(*PR.Prog, T);
     for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
       std::string Tag =
           "lock_churn/" + IP.Tool.Name + "/seed" + std::to_string(Seed);

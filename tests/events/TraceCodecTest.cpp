@@ -47,7 +47,10 @@ uint64_t pick(Rng &R, uint64_t Lo, uint64_t Hi) {
   return std::uniform_int_distribution<uint64_t>(Lo, Hi)(R);
 }
 
-FuzzEvent randomEvent(Rng &R, uint32_t NumSyms) {
+/// A random event; \p ArrayBudget is what is left of the summed array
+/// length a trace may allocate (kMaxArrayLength), and shrinks by any
+/// ArrayAlloc's length.
+FuzzEvent randomEvent(Rng &R, uint32_t NumSyms, uint64_t &ArrayBudget) {
   FuzzEvent F;
   Event &E = F.E;
   E.Kind = static_cast<EventKind>(pick(R, 0, kNumEventKinds - 1));
@@ -83,8 +86,10 @@ FuzzEvent randomEvent(Rng &R, uint32_t NumSyms) {
   case EventKind::ArrayAlloc:
     randomObj();
     E.Tid = 0; // The codec does not record an allocating thread.
-    // Any length the VM can allocate; the reader rejects longer ones.
-    E.Aux = pick(R, 0, kMaxArrayLength);
+    // Any length the VM can allocate; the reader rejects longer ones,
+    // and a longer sum.
+    E.Aux = pick(R, 0, ArrayBudget);
+    ArrayBudget -= E.Aux;
     break;
   case EventKind::Acquire:
   case EventKind::Release:
@@ -113,6 +118,15 @@ FuzzEvent randomEvent(Rng &R, uint32_t NumSyms) {
     break;
   }
   return F;
+}
+
+/// \p Len random events, their arrays within the reader's summed cap.
+std::vector<FuzzEvent> randomStream(Rng &R, size_t Len, uint32_t NumSyms) {
+  std::vector<FuzzEvent> Stream;
+  uint64_t ArrayBudget = kMaxArrayLength;
+  for (size_t I = 0; I < Len; ++I)
+    Stream.push_back(randomEvent(R, NumSyms, ArrayBudget));
+  return Stream;
 }
 
 /// Encodes \p Stream into a finished trace using random batch splits.
@@ -216,9 +230,7 @@ TEST(TraceCodec, RoundTripFuzz) {
   for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
     Rng R(Seed);
     size_t Len = static_cast<size_t>(pick(R, 0, 400));
-    std::vector<FuzzEvent> Stream;
-    for (size_t I = 0; I < Len; ++I)
-      Stream.push_back(randomEvent(R, kNumSyms));
+    std::vector<FuzzEvent> Stream = randomStream(R, Len, kNumSyms);
 
     std::vector<uint8_t> Buf = encode(Stream, Syms, Cfg, Summary, R);
 
@@ -280,9 +292,7 @@ bool drainsCleanly(TraceReader &Reader) {
 TEST(TraceCodec, EveryTruncationFailsCleanly) {
   Rng R(7);
   SymbolTable Syms = fuzzSymbols(8);
-  std::vector<FuzzEvent> Stream;
-  for (size_t I = 0; I < 40; ++I)
-    Stream.push_back(randomEvent(R, 8));
+  std::vector<FuzzEvent> Stream = randomStream(R, 40, 8);
   std::vector<uint8_t> Buf =
       encode(Stream, Syms, fuzzConfig(), fuzzSummary(), R);
 
@@ -309,9 +319,7 @@ TEST(TraceCodec, EveryTruncationFailsCleanly) {
 TEST(TraceCodec, TargetedCorruptionsFailCleanly) {
   Rng R(11);
   SymbolTable Syms = fuzzSymbols(4);
-  std::vector<FuzzEvent> Stream;
-  for (size_t I = 0; I < 10; ++I)
-    Stream.push_back(randomEvent(R, 4));
+  std::vector<FuzzEvent> Stream = randomStream(R, 10, 4);
   std::vector<uint8_t> Good =
       encode(Stream, Syms, fuzzConfig(), fuzzSummary(), R);
 
@@ -430,9 +438,7 @@ TEST(TraceCodec, WindowAndCheckedPathsDecodeAlike) {
   for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
     Rng R(Seed);
     size_t Len = static_cast<size_t>(pick(R, 0, 400));
-    std::vector<FuzzEvent> Stream;
-    for (size_t I = 0; I < Len; ++I)
-      Stream.push_back(randomEvent(R, kNumSyms));
+    std::vector<FuzzEvent> Stream = randomStream(R, Len, kNumSyms);
     // 200 bytes of trailing events put every fuzzed event, payload
     // included (at most 12 words of at most 10 bytes), inside the window.
     for (size_t I = 0; I < 100; ++I)
@@ -613,6 +619,12 @@ TEST(TraceCodec, HostileIdsFailCleanly) {
        bytes({{head(EventKind::ArrayAlloc, kTargetBoth), 0},
               varint(kMaxArrayLength + 1)}),
        BadLength},
+      {"two arrays of 2^25 + 1 elements",
+       bytes({{head(EventKind::ArrayAlloc, kTargetBoth), 0},
+              varint(kMaxArrayLength / 2 + 1),
+              {head(EventKind::ArrayAlloc, kTargetBoth), 2},
+              varint(kMaxArrayLength / 2 + 1)}),
+       "malformed trace: arrays exceed the VM heap cap"},
   };
   for (const Case &C : Cases) {
     // One symbol: every field id but 0 lies past the table.

@@ -5,9 +5,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/Experiment.h"
+
+#include "bfj/Parser.h"
+#include "instrument/Instrumenters.h"
 #include "support/Stats.h"
 #include "support/TablePrinter.h"
 #include "support/Timer.h"
+#include "vm/Vm.h"
 
 #include <gtest/gtest.h>
 
@@ -95,68 +99,53 @@ TEST(Harness, SuiteResultsIdenticalAcrossJobCounts) {
 TEST(Harness, ReplaySuiteMatchesDirectExecution) {
   // The record-once/replay-many counters phase (3 recorded placements +
   // 6 offline replays per workload) must be bytewise indistinguishable
-  // from running all 6 detectors inline.
-  ExperimentOptions Direct;
-  Direct.Iterations = 0;
-  Direct.Jobs = 1;
-  Direct.UseReplay = false;
-  ExperimentOptions Replayed = Direct;
-  Replayed.UseReplay = true;
-  std::vector<ExperimentResult> A = runSuite(SuiteScale::Test, Direct);
-  std::vector<ExperimentResult> B = runSuite(SuiteScale::Test, Replayed);
-  ASSERT_EQ(A.size(), B.size());
-  for (size_t I = 0; I < A.size(); ++I) {
-    EXPECT_EQ(A[I].Workload, B[I].Workload);
-    EXPECT_EQ(A[I].Accesses, B[I].Accesses);
-    EXPECT_EQ(A[I].FieldAccesses, B[I].FieldAccesses);
-    EXPECT_EQ(A[I].ArrayAccesses, B[I].ArrayAccesses);
-    EXPECT_EQ(A[I].BaseHeapBytes, B[I].BaseHeapBytes);
-    EXPECT_EQ(A[I].BigFootChecks, B[I].BigFootChecks);
-    ASSERT_EQ(A[I].Tools.size(), B[I].Tools.size());
-    for (size_t T = 0; T < A[I].Tools.size(); ++T) {
-      std::string Tag = A[I].Workload + "/" + A[I].Tools[T].Tool;
-      EXPECT_EQ(A[I].Tools[T].Tool, B[I].Tools[T].Tool) << Tag;
-      EXPECT_EQ(A[I].Tools[T].ShadowOps, B[I].Tools[T].ShadowOps) << Tag;
-      EXPECT_EQ(A[I].Tools[T].Races, B[I].Tools[T].Races) << Tag;
-      EXPECT_EQ(A[I].Tools[T].PeakShadowBytes, B[I].Tools[T].PeakShadowBytes)
+  // from running each of the 6 detectors inline.
+  ExperimentOptions Opts;
+  Opts.Iterations = 0;
+  Opts.Jobs = 1;
+  std::vector<Workload> Suite = standardSuite(SuiteScale::Test);
+  std::vector<ExperimentResult> Replayed = runSuite(SuiteScale::Test, Opts);
+  ASSERT_EQ(Replayed.size(), Suite.size());
+  for (size_t I = 0; I < Suite.size(); ++I) {
+    const ExperimentResult &B = Replayed[I];
+    EXPECT_EQ(B.Workload, Suite[I].Name);
+    ParseResult PR = parseProgram(Suite[I].Source);
+    ASSERT_TRUE(PR.ok()) << PR.Error;
+    VmOptions VmOpts;
+    VmOpts.Seed = Opts.Seed;
+    VmResult Base = runProgramBase(*PR.Prog, VmOpts);
+    EXPECT_EQ(B.Accesses, Base.Counters.get("vm.accesses"));
+    EXPECT_EQ(B.FieldAccesses, Base.Counters.get("vm.accesses.field"));
+    EXPECT_EQ(B.ArrayAccesses, Base.Counters.get("vm.accesses.array"));
+    EXPECT_EQ(B.BaseHeapBytes, Base.Counters.get("vm.heapBytes"));
+    ASSERT_EQ(B.Tools.size(), kNumTools);
+    for (size_t T = 0; T < kNumTools; ++T) {
+      InstrumentedProgram IP = instrumentTool(*PR.Prog, kTools[T]);
+      if (kTools[T].Placement == PlacementKind::BigFoot) {
+        EXPECT_EQ(B.BigFootChecks, IP.Placement.ChecksInserted);
+      }
+      VmResult Run = runProgram(*IP.Prog, IP.Tool, VmOpts);
+      ASSERT_TRUE(Run.Ok) << Run.Error;
+      const Stats &C = Run.Counters;
+      const ToolMetrics &M = B.Tools[T];
+      std::string Tag = B.Workload + "/" + kTools[T].Name;
+      EXPECT_EQ(M.Tool, kTools[T].Name) << Tag;
+      EXPECT_EQ(M.ShadowOps, C.get("tool.shadowOps")) << Tag;
+      EXPECT_EQ(M.Races, C.get("tool.races")) << Tag;
+      EXPECT_EQ(M.PeakShadowBytes, C.get("tool.peakShadowBytes")) << Tag;
+      EXPECT_EQ(M.PeakShadowLocations, C.get("tool.peakShadowLocations"))
           << Tag;
-      EXPECT_EQ(A[I].Tools[T].PeakShadowLocations,
-                B[I].Tools[T].PeakShadowLocations)
-          << Tag;
-      EXPECT_DOUBLE_EQ(A[I].Tools[T].CheckRatio, B[I].Tools[T].CheckRatio)
-          << Tag;
-      EXPECT_DOUBLE_EQ(A[I].Tools[T].FieldCheckRatio,
-                       B[I].Tools[T].FieldCheckRatio)
-          << Tag;
-      EXPECT_DOUBLE_EQ(A[I].Tools[T].ArrayCheckRatio,
-                       B[I].Tools[T].ArrayCheckRatio)
-          << Tag;
+      auto Ratio = [&C](uint64_t Events) {
+        return static_cast<double>(Events) /
+               static_cast<double>(C.get("vm.accesses"));
+      };
+      uint64_t Field = C.get("tool.checkEvents.field");
+      uint64_t Array = C.get("tool.checkEvents.array");
+      EXPECT_DOUBLE_EQ(M.CheckRatio, Ratio(Field + Array)) << Tag;
+      EXPECT_DOUBLE_EQ(M.FieldCheckRatio, Ratio(Field)) << Tag;
+      EXPECT_DOUBLE_EQ(M.ArrayCheckRatio, Ratio(Array)) << Tag;
+      EXPECT_EQ(M.FilterTableBytes, Run.FilterTableBytes) << Tag;
     }
-  }
-}
-
-TEST(Harness, AsyncDetectMatchesSyncCounters) {
-  // --async-detect moves detection to another thread but must not change
-  // a single measured number. No-replay mode so every tool actually runs
-  // with its detector attached (replay-mode counters never attach one).
-  Workload W = workloadByName("tomcat", SuiteScale::Test);
-  ExperimentOptions Sync;
-  Sync.Iterations = 0;
-  Sync.UseReplay = false;
-  ExperimentOptions Async = Sync;
-  Async.AsyncDetect = true;
-  ExperimentResult A = runExperiment(W, Sync);
-  ExperimentResult B = runExperiment(W, Async);
-  ASSERT_EQ(A.Tools.size(), B.Tools.size());
-  for (size_t T = 0; T < A.Tools.size(); ++T) {
-    const std::string &Tag = A.Tools[T].Tool;
-    EXPECT_EQ(A.Tools[T].Tool, B.Tools[T].Tool) << Tag;
-    EXPECT_EQ(A.Tools[T].ShadowOps, B.Tools[T].ShadowOps) << Tag;
-    EXPECT_EQ(A.Tools[T].Races, B.Tools[T].Races) << Tag;
-    EXPECT_EQ(A.Tools[T].PeakShadowBytes, B.Tools[T].PeakShadowBytes) << Tag;
-    EXPECT_EQ(A.Tools[T].PeakShadowLocations, B.Tools[T].PeakShadowLocations)
-        << Tag;
-    EXPECT_DOUBLE_EQ(A.Tools[T].CheckRatio, B.Tools[T].CheckRatio) << Tag;
   }
 }
 
@@ -182,18 +171,11 @@ TEST(Harness, BenchArgsParsing) {
   // --iters=0 is a legitimate counters-only request, not clamped.
   const char *Zero[] = {"prog", "--iters=0"};
   EXPECT_EQ(parseBenchArgs(2, const_cast<char **>(Zero)).Opts.Iterations, 0);
-  // Replay knobs: on by default, --no-replay disables, --replay re-enables,
   // --record-dir= captures the trace directory.
-  EXPECT_TRUE(Defaults.Opts.UseReplay);
   EXPECT_TRUE(Defaults.Opts.RecordDir.empty());
-  const char *NoReplay[] = {"prog", "--no-replay"};
-  EXPECT_FALSE(
-      parseBenchArgs(2, const_cast<char **>(NoReplay)).Opts.UseReplay);
-  const char *Replay[] = {"prog", "--no-replay", "--replay",
-                          "--record-dir=/tmp/traces"};
-  BenchArgs R = parseBenchArgs(4, const_cast<char **>(Replay));
-  EXPECT_TRUE(R.Opts.UseReplay);
-  EXPECT_EQ(R.Opts.RecordDir, "/tmp/traces");
+  const char *Record[] = {"prog", "--record-dir=/tmp/traces"};
+  EXPECT_EQ(parseBenchArgs(2, const_cast<char **>(Record)).Opts.RecordDir,
+            "/tmp/traces");
   // Async detection: off by default, --async-detect enables.
   EXPECT_FALSE(Defaults.Opts.AsyncDetect);
   const char *Async[] = {"prog", "--async-detect"};
@@ -224,13 +206,20 @@ TEST(Harness, BenchArgsRejectMalformedNumbers) {
 }
 
 // An unknown flag exits too, so a bench never runs with settings other
-// than those asked for: --ast (the AST walker is a test-only reference)
-// and a typo of a real flag.
+// than those asked for: --ast (the AST walker is a test-only reference),
+// --no-replay and --replay (record-once/replay-many is the only counters
+// phase) and a typo of a real flag.
 TEST(Harness, BenchArgsRejectUnknownOptions) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const char *Ast[] = {"prog", "--small", "--ast"};
   EXPECT_EXIT(parseBenchArgs(3, const_cast<char **>(Ast)),
               testing::ExitedWithCode(1), "unknown option '--ast'");
+  const char *NoReplay[] = {"prog", "--no-replay"};
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(NoReplay)),
+              testing::ExitedWithCode(1), "unknown option '--no-replay'");
+  const char *Replay[] = {"prog", "--replay"};
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(Replay)),
+              testing::ExitedWithCode(1), "unknown option '--replay'");
   const char *Typo[] = {"prog", "--iter=3"};
   EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(Typo)),
               testing::ExitedWithCode(1), "unknown option '--iter=3'");

@@ -186,10 +186,24 @@ thread { o = new C; o.f = 1; }
 )");
   EXPECT_FALSE(instrumentFastTrack(*Prog).Tool.DeferArrayChecks);
   EXPECT_FALSE(instrumentFastTrack(*Prog).Tool.AdaptiveArrayShadow);
-  EXPECT_TRUE(instrumentSlimState(*Prog).Tool.DeferArrayChecks);
-  EXPECT_TRUE(instrumentSlimCard(*Prog).Tool.AdaptiveArrayShadow);
+  EXPECT_TRUE(
+      instrumentTool(*Prog, *findTool("slimstate")).Tool.DeferArrayChecks);
+  EXPECT_TRUE(
+      instrumentTool(*Prog, *findTool("slimcard")).Tool.AdaptiveArrayShadow);
   EXPECT_TRUE(instrumentBigFoot(*Prog).Tool.DeferArrayChecks);
   EXPECT_EQ(instrumentRedCard(*Prog).Tool.Name, "redcard");
+  EXPECT_TRUE(instrumentTool(*Prog, *findTool("djit")).Tool.VectorClocksOnly);
+  EXPECT_EQ(findTool("none"), nullptr);
+  // Every tool's config carries its table name, and each placement's own
+  // config is the tool named after it.
+  for (const ToolSpec &T : kTools)
+    EXPECT_EQ(instrumentTool(*Prog, T).Tool.Name, T.Name);
+  for (size_t K = 0; K < kNumPlacements; ++K) {
+    auto Placement = static_cast<PlacementKind>(K);
+    EXPECT_EQ(instrumentPlacement(*Prog, Placement).Tool.Name,
+              placementName(Placement));
+    EXPECT_EQ(findTool(placementName(Placement))->Placement, Placement);
+  }
 }
 
 TEST(Placement, BigFootNeverChecksMoreThanRedCard) {

@@ -11,12 +11,15 @@
 // legitimate only for writes; read checks cover only reads but are
 // legitimate for both (Section 5).
 //
-// This test records the full event trace of instrumented runs and
-// verifies both properties for every access and every check — the
-// "additional dynamic analysis" the paper used to confirm its
-// implementation was precise (Section 5).
+// This test collects each thread's projection of the typed event stream
+// of instrumented runs (tests/common/ThreadEvents.h) and verifies both
+// properties for every access and every check — the "additional dynamic
+// analysis" the paper used to confirm its implementation was precise
+// (Section 5).
 //
 //===----------------------------------------------------------------------===//
+
+#include "common/ThreadEvents.h"
 
 #include "bfj/Parser.h"
 #include "instrument/Instrumenters.h"
@@ -25,102 +28,17 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 using namespace bigfoot;
 
 namespace {
 
-/// Per-thread event sequences extracted from a run.
-using ThreadTrace = std::vector<TraceEvent>;
-
-std::map<ThreadId, ThreadTrace> splitByThread(const VmResult &R) {
-  std::map<ThreadId, ThreadTrace> Out;
-  for (const TraceEvent &E : R.Trace)
-    Out[E.Tid].push_back(E);
-  return Out;
-}
-
-bool checkKindCovers(AccessKind Check, AccessKind Access) {
-  // A write check covers reads and writes; a read check only reads.
-  return Check == AccessKind::Write || Access == AccessKind::Read;
-}
-
-bool checkKindLegitimateFor(AccessKind Check, AccessKind Access) {
-  // A read check is legitimate for both; a write check only for writes.
-  return Check == AccessKind::Read || Access == AccessKind::Write;
-}
-
-/// Every access must have a covering check: one before it with no
-/// intervening release, or one after it with no intervening acquire.
-::testing::AssertionResult accessCovered(const ThreadTrace &T, size_t I) {
-  const TraceEvent &A = T[I];
-  for (size_t J = I; J-- > 0;) {
-    const TraceEvent &E = T[J];
-    if (E.K == TraceEvent::Kind::Release)
-      break;
-    if (E.K == TraceEvent::Kind::Check && E.Loc == A.Loc &&
-        checkKindCovers(E.Access, A.Access))
-      return ::testing::AssertionSuccess();
-  }
-  for (size_t J = I + 1; J < T.size(); ++J) {
-    const TraceEvent &E = T[J];
-    if (E.K == TraceEvent::Kind::Acquire)
-      break;
-    if (E.K == TraceEvent::Kind::Check && E.Loc == A.Loc &&
-        checkKindCovers(E.Access, A.Access))
-      return ::testing::AssertionSuccess();
-  }
-  return ::testing::AssertionFailure()
-         << "uncovered " << (A.Access == AccessKind::Read ? "read" : "write")
-         << " of " << A.Loc << " by thread " << A.Tid;
-}
-
-/// Every check must be legitimate for some access: one after it with no
-/// intervening acquire, or one before it with no intervening release.
-::testing::AssertionResult checkLegitimate(const ThreadTrace &T, size_t I) {
-  const TraceEvent &C = T[I];
-  for (size_t J = I + 1; J < T.size(); ++J) {
-    const TraceEvent &E = T[J];
-    if (E.K == TraceEvent::Kind::Acquire)
-      break;
-    if (E.K == TraceEvent::Kind::Access && E.Loc == C.Loc &&
-        checkKindLegitimateFor(C.Access, E.Access))
-      return ::testing::AssertionSuccess();
-  }
-  for (size_t J = I; J-- > 0;) {
-    const TraceEvent &E = T[J];
-    if (E.K == TraceEvent::Kind::Release)
-      break;
-    if (E.K == TraceEvent::Kind::Access && E.Loc == C.Loc &&
-        checkKindLegitimateFor(C.Access, E.Access))
-      return ::testing::AssertionSuccess();
-  }
-  return ::testing::AssertionFailure()
-         << "illegitimate "
-         << (C.Access == AccessKind::Read ? "read" : "write") << " check of "
-         << C.Loc << " by thread " << C.Tid;
-}
-
-void verifyPreciseChecks(const Program &Prog, const InstrumentedProgram &IP,
-                         const std::string &Label, uint64_t Seed,
-                         uint64_t CommitInterval = 0) {
-  (void)Prog;
+void verifyPreciseChecks(const InstrumentedProgram &IP,
+                         const std::string &Label, uint64_t Seed) {
   VmOptions Opts;
   Opts.Seed = Seed;
-  Opts.RecordEventTrace = true;
-  Opts.CommitIntervalSteps = CommitInterval;
-  VmResult Run = runProgram(*IP.Prog, IP.Tool, Opts);
-  ASSERT_TRUE(Run.Ok) << Label << ": " << Run.Error;
-  for (const auto &[Tid, T] : splitByThread(Run)) {
-    for (size_t I = 0; I < T.size(); ++I) {
-      if (T[I].K == TraceEvent::Kind::Access) {
-        EXPECT_TRUE(accessCovered(T, I)) << Label << "/" << IP.Tool.Name;
-      } else if (T[I].K == TraceEvent::Kind::Check) {
-        EXPECT_TRUE(checkLegitimate(T, I)) << Label << "/" << IP.Tool.Name;
-      }
-    }
-  }
+  ThreadEventCollector Events = collectThreadEvents(*IP.Prog, IP.Tool, Opts);
+  EXPECT_GT(Events.count(ThreadEvent::Kind::Access), 0u) << Label;
+  EXPECT_TRUE(checksArePrecise(Events)) << Label << "/" << IP.Tool.Name;
 }
 
 } // namespace
@@ -129,10 +47,99 @@ TEST(CoverageOracle, AllSuiteWorkloadsHavePreciseChecks) {
   for (const Workload &W : standardSuite(SuiteScale::Test)) {
     auto Prog = parseProgramOrDie(W.Source.c_str());
     InstrumentedProgram Bf = instrumentBigFoot(*Prog);
-    verifyPreciseChecks(*Prog, Bf, W.Name + "/bigfoot", 9);
+    verifyPreciseChecks(Bf, W.Name + "/bigfoot", 9);
     InstrumentedProgram Rc = instrumentRedCard(*Prog);
-    verifyPreciseChecks(*Prog, Rc, W.Name + "/redcard", 9);
+    verifyPreciseChecks(Rc, W.Name + "/redcard", 9);
   }
+}
+
+/// The oracle's verdict on a hand-instrumented program run under
+/// FastTrack's detector (the checks are taken as written).
+::testing::AssertionResult handPlacedVerdict(const char *Source) {
+  auto Prog = parseProgramOrDie(Source);
+  return checksArePrecise(collectThreadEvents(*Prog, fastTrackConfig()));
+}
+
+TEST(CoverageOracle, ReportsMissingAndIllegitimateChecks) {
+  const char *LostCheck = R"(
+class C { fields f, g; }
+thread {
+  o = new C;
+  check(W o.f);
+  o.f = 1;
+  o.g = 2;
+}
+)";
+  ::testing::AssertionResult Lost = handPlacedVerdict(LostCheck);
+  ASSERT_FALSE(Lost);
+  EXPECT_NE(std::string(Lost.message()).find("uncovered write of obj#"),
+            std::string::npos)
+      << Lost.message();
+  EXPECT_NE(std::string(Lost.message()).find(".g by thread 0"),
+            std::string::npos)
+      << Lost.message();
+
+  // A coalesced check naming g, which its window never accesses.
+  ::testing::AssertionResult Unused = handPlacedVerdict(R"(
+class C { fields f, g; }
+thread {
+  o = new C;
+  check(W o.f/g);
+  o.f = 1;
+}
+)");
+  ASSERT_FALSE(Unused);
+  EXPECT_NE(std::string(Unused.message()).find("illegitimate write check"),
+            std::string::npos)
+      << Unused.message();
+  EXPECT_NE(std::string(Unused.message()).find(".g by thread 0"),
+            std::string::npos)
+      << Unused.message();
+
+  // An array range one element past what its window accesses.
+  ::testing::AssertionResult Range = handPlacedVerdict(R"(
+thread {
+  a = new_array(4);
+  check(W a[0..4]);
+  a[0] = 1;
+  a[1] = 1;
+  a[2] = 1;
+}
+)");
+  ASSERT_FALSE(Range);
+  EXPECT_NE(std::string(Range.message()).find("check of arr#"),
+            std::string::npos)
+      << Range.message();
+  EXPECT_NE(std::string(Range.message()).find("[3] by thread 0"),
+            std::string::npos)
+      << Range.message();
+
+  // A check and its access on the wrong sides of a fence: a release
+  // ends coverage forward and legitimacy backward, an acquire ends
+  // coverage backward and legitimacy forward.
+  for (const char *Fenced : {
+           "acq(o); check(W o.f); rel(o); o.f = 1;",
+           "o.f = 1; acq(o); check(W o.f); rel(o);",
+           "check(W o.f); acq(o); o.f = 1; rel(o);",
+           "acq(o); o.f = 1; rel(o); check(W o.f);",
+       }) {
+    std::string Source = "class C { fields f; }\nthread { o = new C; " +
+                         std::string(Fenced) + " }\n";
+    EXPECT_FALSE(handPlacedVerdict(Source.c_str())) << Fenced;
+  }
+
+  // Without the ground-truth events the stream carries no accesses, so
+  // the coverage half of the oracle misses the lost check; hence
+  // collectThreadEvents turns them on and verifyPreciseChecks requires
+  // accesses.
+  auto Prog = parseProgramOrDie(LostCheck);
+  Prog->internSymbols();
+  ThreadEventCollector Blind(Prog->symbols());
+  VmOptions Opts;
+  Opts.RecordSink = &Blind;
+  ASSERT_TRUE(runProgram(*Prog, fastTrackConfig(), Opts).Ok);
+  EXPECT_EQ(Blind.count(ThreadEvent::Kind::Access), 0u);
+  EXPECT_TRUE(checksArePrecise(Blind, /*Legitimacy=*/false));
 }
 
 TEST(CoverageOracle, FastTrackTriviallyPrecise) {
@@ -140,7 +147,7 @@ TEST(CoverageOracle, FastTrackTriviallyPrecise) {
   Workload W = workloadByName("sparse", SuiteScale::Test);
   auto Prog = parseProgramOrDie(W.Source.c_str());
   InstrumentedProgram Ft = instrumentFastTrack(*Prog);
-  verifyPreciseChecks(*Prog, Ft, "sparse/fasttrack", 3);
+  verifyPreciseChecks(Ft, "sparse/fasttrack", 3);
 }
 
 TEST(CoverageOracle, HoldsUnderAggressiveInterleaving) {
@@ -151,14 +158,9 @@ TEST(CoverageOracle, HoldsUnderAggressiveInterleaving) {
     VmOptions Opts;
     Opts.Seed = Seed;
     Opts.Quantum = 2;
-    Opts.RecordEventTrace = true;
-    VmResult Run = runProgram(*Bf.Prog, Bf.Tool, Opts);
-    ASSERT_TRUE(Run.Ok) << Run.Error;
-    for (const auto &[Tid, T] : splitByThread(Run))
-      for (size_t I = 0; I < T.size(); ++I)
-        if (T[I].K == TraceEvent::Kind::Access) {
-          EXPECT_TRUE(accessCovered(T, I)) << "seed " << Seed;
-        }
+    EXPECT_TRUE(checksArePrecise(collectThreadEvents(*Bf.Prog, Bf.Tool, Opts),
+                                 /*Legitimacy=*/false))
+        << "seed " << Seed;
   }
 }
 
@@ -174,7 +176,7 @@ TEST(CoverageOracle, AblatedConfigurationsStayPrecise) {
       P.HoistLoopChecks = Hoist;
       P.CoalesceChecks = Anticipation; // Vary this too.
       InstrumentedProgram Bf = instrumentBigFoot(*Prog, P);
-      verifyPreciseChecks(*Prog, Bf,
+      verifyPreciseChecks(Bf,
                           "lufact/ant=" + std::to_string(Anticipation) +
                               "/hoist=" + std::to_string(Hoist),
                           4);

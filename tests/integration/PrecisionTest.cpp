@@ -83,8 +83,10 @@ void checkAllTools(const char *Source, const std::string &Label,
                    std::initializer_list<uint64_t> Seeds = {1, 13, 77}) {
   auto Prog = parseProgramOrDie(Source);
   for (uint64_t Seed : Seeds) {
-    for (InstrumentedProgram &IP : instrumentAll(*Prog))
+    for (const ToolSpec &T : kTools) {
+      InstrumentedProgram IP = instrumentTool(*Prog, T);
       checkPrecision(IP, Seed, Label);
+    }
   }
 }
 
@@ -481,9 +483,11 @@ TEST_P(PrecisionProperty, RandomProgramsAllToolsPrecise) {
     std::string Source = generateProgram(ProgSeed);
     ParseResult PR = parseProgram(Source);
     ASSERT_TRUE(PR.ok()) << PR.Error << "\n" << Source;
-    for (InstrumentedProgram &IP : instrumentAll(*PR.Prog))
+    for (const ToolSpec &T : kTools) {
+      InstrumentedProgram IP = instrumentTool(*PR.Prog, T);
       checkPrecision(IP, /*Seed=*/ProgSeed + 7,
                      "random#" + std::to_string(ProgSeed));
+    }
   }
 }
 
@@ -491,7 +495,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PrecisionProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 //===----------------------------------------------------------------------===
-// Differential: all five tools agree on racy-location sets per trace.
+// Differential: all six tools agree on racy-location sets per trace.
 //===----------------------------------------------------------------------===
 
 TEST(Precision, ToolsAgreeWithOracleOnRacyPrograms) {
@@ -520,7 +524,8 @@ thread {
   join t2;
 }
 )");
-  for (InstrumentedProgram &IP : instrumentAll(*Prog)) {
+  for (const ToolSpec &T : kTools) {
+    InstrumentedProgram IP = instrumentTool(*Prog, T);
     std::set<std::string> Racy = checkPrecision(IP, 42, "agree");
     EXPECT_FALSE(Racy.empty()) << IP.Tool.Name;
   }

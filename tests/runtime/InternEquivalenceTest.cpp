@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bfj/Parser.h"
+#include "events/TraceCodec.h"
 #include "instrument/Instrumenters.h"
 #include "runtime/Detector.h"
 #include "vm/Vm.h"
@@ -29,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -44,21 +46,6 @@ namespace {
 
 std::string goldenPath() {
   return std::string(BIGFOOT_TEST_DIR) + "/runtime/golden/intern_equivalence.golden";
-}
-
-/// The six configurations the paper's Figure 2 table evaluates (five tools
-/// plus the DJIT+ baseline), mirroring harness/Experiment.cpp.
-std::vector<InstrumentedProgram> allSixConfigs(const Program &P) {
-  std::vector<InstrumentedProgram> All;
-  All.push_back(instrumentFastTrack(P));
-  All.push_back(instrumentRedCard(P));
-  All.push_back(instrumentSlimState(P));
-  All.push_back(instrumentSlimCard(P));
-  All.push_back(instrumentBigFoot(P));
-  InstrumentedProgram Djit = instrumentFastTrack(P);
-  Djit.Tool = djitConfig();
-  All.push_back(std::move(Djit));
-  return All;
 }
 
 void renderRun(std::ostream &Out, const std::string &WorkloadName,
@@ -94,8 +81,8 @@ std::string renderAll() {
                     << " failed to parse: " << PR.Error;
       continue;
     }
-    std::vector<InstrumentedProgram> Configs = allSixConfigs(*PR.Prog);
-    for (const InstrumentedProgram &IP : Configs) {
+    for (const ToolSpec &T : kTools) {
+      InstrumentedProgram IP = instrumentTool(*PR.Prog, T);
       for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
         VmOptions Opts;
         Opts.Seed = Seed;
@@ -156,9 +143,10 @@ TEST(InternEquivalence, BehaviorMatchesStringKeyedGolden) {
 // AST walker vs compiled bytecode: the two execution modes of the VM must
 // agree on *everything* observable — status, output, scheduler step count,
 // every counter, tool and oracle racy-location sets, race reports, and the
-// full per-thread event trace (which pins down the interleaving itself,
-// not just its outcome). Same coverage grid as the golden test: every
-// workload and racy variant × six configs × three seeds.
+// bytes of the whole recorded event stream, oracle accesses included
+// (which pins down the interleaving itself, not just its outcome). Same
+// coverage grid as the golden test: every workload and racy variant ×
+// six configs × three seeds.
 //
 // The bytecode loop runs a whole quantum per entry and cuts its batches
 // at commit-interval boundaries and at the step limit, while the walker
@@ -167,16 +155,28 @@ TEST(InternEquivalence, BehaviorMatchesStringKeyedGolden) {
 // half the run (quanta average ~12 steps, so it falls inside one).
 //===----------------------------------------------------------------------===
 
+/// Runs \p IP under \p Opts with a TraceWriter on the stream; the
+/// trace's bytes land in \p Trace.
+VmResult runRecorded(const InstrumentedProgram &IP, VmOptions Opts,
+                     std::vector<uint8_t> &Trace) {
+  TraceWriter Writer(IP.Prog->symbols(), IP.Tool);
+  Opts.RecordSink = &Writer;
+  VmResult Run = runProgram(*IP.Prog, IP.Tool, Opts);
+  Writer.finish(Run.traceSummary());
+  Trace = Writer.buffer();
+  return Run;
+}
+
 /// Runs \p IP in both modes under \p Opts and checks they agree; the
 /// bytecode run lands in \p BcOut.
 void expectModesAgree(const InstrumentedProgram &IP, VmOptions Opts,
                       const std::string &Tag, VmResult &BcOut) {
-  Opts.RecordEventTrace = true;
   Opts.EnableGroundTruth = true;
   Opts.UseBytecode = false;
-  VmResult Ast = runProgram(*IP.Prog, IP.Tool, Opts);
+  std::vector<uint8_t> AstTrace, BcTrace;
+  VmResult Ast = runRecorded(IP, Opts, AstTrace);
   Opts.UseBytecode = true;
-  VmResult Bc = runProgram(*IP.Prog, IP.Tool, Opts);
+  VmResult Bc = runRecorded(IP, Opts, BcTrace);
 
   EXPECT_EQ(Ast.Ok, Bc.Ok) << Tag;
   EXPECT_EQ(Ast.Error, Bc.Error) << Tag;
@@ -190,17 +190,14 @@ void expectModesAgree(const InstrumentedProgram &IP, VmOptions Opts,
   for (size_t I = 0; I < Ast.ToolRaces.size(); ++I)
     EXPECT_EQ(Ast.ToolRaces[I].str(), Bc.ToolRaces[I].str())
         << Tag << " race " << I;
-  ASSERT_EQ(Ast.Trace.size(), Bc.Trace.size()) << Tag;
-  for (size_t I = 0; I < Ast.Trace.size(); ++I) {
-    const TraceEvent &A = Ast.Trace[I];
-    const TraceEvent &B = Bc.Trace[I];
-    ASSERT_TRUE(A.K == B.K && A.Tid == B.Tid && A.Access == B.Access &&
-                A.Loc == B.Loc)
-        << Tag << " trace event " << I << ": ast={kind="
-        << static_cast<int>(A.K) << " tid=" << A.Tid << " loc=" << A.Loc
-        << "} bc={kind=" << static_cast<int>(B.K) << " tid=" << B.Tid
-        << " loc=" << B.Loc << "}";
-  }
+  // The whole event stream, byte for byte: kinds, threads, locations,
+  // ranges, payloads and targets, in order.
+  ASSERT_EQ(AstTrace.size(), BcTrace.size()) << Tag;
+  auto Diverge = std::mismatch(AstTrace.begin(), AstTrace.end(),
+                               BcTrace.begin());
+  ASSERT_TRUE(Diverge.first == AstTrace.end())
+      << Tag << ": event streams differ at trace byte "
+      << (Diverge.first - AstTrace.begin());
   BcOut = std::move(Bc);
 }
 
@@ -211,8 +208,8 @@ TEST(BytecodeEquivalence, MatchesAstWalkerEverywhere) {
   for (const Workload &W : Suite) {
     ParseResult PR = parseProgram(W.Source);
     ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
-    std::vector<InstrumentedProgram> Configs = allSixConfigs(*PR.Prog);
-    for (const InstrumentedProgram &IP : Configs) {
+    for (const ToolSpec &T : kTools) {
+      InstrumentedProgram IP = instrumentTool(*PR.Prog, T);
       for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
         std::string Tag =
             W.Name + "/" + IP.Tool.Name + "/seed" + std::to_string(Seed);

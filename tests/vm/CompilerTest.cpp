@@ -16,6 +16,7 @@
 #include "vm/Compiler.h"
 
 #include "bfj/Parser.h"
+#include "events/TraceCodec.h"
 #include "instrument/Instrumenters.h"
 #include "vm/Vm.h"
 #include "workloads/Workloads.h"
@@ -33,8 +34,27 @@ VmOptions modeOpts(bool UseBytecode, uint64_t Seed = 1) {
   VmOptions Opts;
   Opts.Seed = Seed;
   Opts.UseBytecode = UseBytecode;
-  Opts.RecordEventTrace = true;
   return Opts;
+}
+
+/// A run plus the BFT1 bytes of its whole event stream, ground-truth
+/// accesses included (\p Tool null runs uninstrumented).
+struct RecordedRun {
+  VmResult Run;
+  std::vector<uint8_t> Trace;
+};
+
+RecordedRun runRecorded(const Program &Prog, const DetectorConfig *Tool,
+                        VmOptions Opts) {
+  Prog.ensureInterned(); // The trace header needs the symbol table.
+  TraceWriter Writer(Prog.symbols(), Tool ? *Tool : DetectorConfig());
+  Opts.EnableGroundTruth = true;
+  Opts.RecordSink = &Writer;
+  RecordedRun Out;
+  Out.Run = Tool ? runProgram(Prog, *Tool, Opts) : runProgramBase(Prog, Opts);
+  Writer.finish(Out.Run.traceSummary());
+  Out.Trace = Writer.buffer();
+  return Out;
 }
 
 /// Runs \p Source uninstrumented in both modes (three seeds) and checks
@@ -44,22 +64,16 @@ VmResult expectModesAgree(const char *Source) {
   auto Prog = parseProgramOrDie(Source);
   VmResult LastBc;
   for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
-    VmResult Ast = runProgramBase(*Prog, modeOpts(false, Seed));
-    VmResult Bc = runProgramBase(*Prog, modeOpts(true, Seed));
+    RecordedRun Ast = runRecorded(*Prog, nullptr, modeOpts(false, Seed));
+    RecordedRun Bc = runRecorded(*Prog, nullptr, modeOpts(true, Seed));
     std::string Tag = "seed " + std::to_string(Seed);
-    EXPECT_EQ(Ast.Ok, Bc.Ok) << Tag;
-    EXPECT_EQ(Ast.Error, Bc.Error) << Tag;
-    EXPECT_EQ(Ast.Output, Bc.Output) << Tag;
-    EXPECT_EQ(Ast.StatementsExecuted, Bc.StatementsExecuted) << Tag;
-    EXPECT_EQ(Ast.Counters.all(), Bc.Counters.all()) << Tag;
-    EXPECT_EQ(Ast.Trace.size(), Bc.Trace.size()) << Tag;
-    size_t N = std::min(Ast.Trace.size(), Bc.Trace.size());
-    for (size_t I = 0; I < N; ++I)
-      EXPECT_TRUE(Ast.Trace[I].K == Bc.Trace[I].K &&
-                  Ast.Trace[I].Tid == Bc.Trace[I].Tid &&
-                  Ast.Trace[I].Loc == Bc.Trace[I].Loc)
-          << Tag << " trace event " << I;
-    LastBc = std::move(Bc);
+    EXPECT_EQ(Ast.Run.Ok, Bc.Run.Ok) << Tag;
+    EXPECT_EQ(Ast.Run.Error, Bc.Run.Error) << Tag;
+    EXPECT_EQ(Ast.Run.Output, Bc.Run.Output) << Tag;
+    EXPECT_EQ(Ast.Run.StatementsExecuted, Bc.Run.StatementsExecuted) << Tag;
+    EXPECT_EQ(Ast.Run.Counters.all(), Bc.Run.Counters.all()) << Tag;
+    EXPECT_TRUE(Ast.Trace == Bc.Trace) << Tag << ": event streams differ";
+    LastBc = std::move(Bc.Run);
   }
   return LastBc;
 }
@@ -522,13 +536,13 @@ thread {
 )");
   InstrumentedProgram IP = instrumentBigFoot(*Prog);
   for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
-    VmResult Ast = runProgram(*IP.Prog, IP.Tool, modeOpts(false, Seed));
-    VmResult Bc = runProgram(*IP.Prog, IP.Tool, modeOpts(true, Seed));
-    ASSERT_TRUE(Bc.Ok) << Bc.Error;
-    EXPECT_EQ(Ast.Counters.all(), Bc.Counters.all());
-    EXPECT_EQ(Ast.ToolRacyLocations, Bc.ToolRacyLocations);
-    ASSERT_EQ(Ast.Trace.size(), Bc.Trace.size());
-    EXPECT_GT(Bc.Counters.get("tool.checkEvents.array"), 0u);
+    RecordedRun Ast = runRecorded(*IP.Prog, &IP.Tool, modeOpts(false, Seed));
+    RecordedRun Bc = runRecorded(*IP.Prog, &IP.Tool, modeOpts(true, Seed));
+    ASSERT_TRUE(Bc.Run.Ok) << Bc.Run.Error;
+    EXPECT_EQ(Ast.Run.Counters.all(), Bc.Run.Counters.all());
+    EXPECT_EQ(Ast.Run.ToolRacyLocations, Bc.Run.ToolRacyLocations);
+    EXPECT_TRUE(Ast.Trace == Bc.Trace) << "event streams differ";
+    EXPECT_GT(Bc.Run.Counters.get("tool.checkEvents.array"), 0u);
   }
 }
 

@@ -1,12 +1,18 @@
-//===- TraceRecorderTest.cpp - Event trace recorder tests ---------------------===//
+//===- TraceRecorderTest.cpp - Event order on the recorded stream ---------===//
 //
 // Part of the BigFoot reproduction. See README.md for details.
 //
+// What the VM puts on the typed event stream a VmOptions::RecordSink
+// receives, and in which order, seen through each thread's projection
+// (tests/common/ThreadEvents.h): accesses (the ground-truth oracle's
+// events), checks, and synchronization as acquires and releases.
+//
 //===----------------------------------------------------------------------===//
+
+#include "common/ThreadEvents.h"
 
 #include "bfj/Parser.h"
 #include "instrument/Instrumenters.h"
-#include "vm/Vm.h"
 
 #include <gtest/gtest.h>
 
@@ -14,25 +20,20 @@ using namespace bigfoot;
 
 namespace {
 
-VmResult runTraced(const char *Source) {
-  auto Prog = parseProgramOrDie(Source);
-  InstrumentedProgram IP = instrumentFastTrack(*Prog);
-  VmOptions Opts;
-  Opts.RecordEventTrace = true;
-  return runProgram(*IP.Prog, IP.Tool, Opts);
-}
+using Kind = ThreadEvent::Kind;
 
-size_t countKind(const VmResult &R, TraceEvent::Kind K) {
-  size_t N = 0;
-  for (const TraceEvent &E : R.Trace)
-    N += E.K == K ? 1 : 0;
-  return N;
+/// Runs \p Source under \p Tool's placement with the stream collected.
+ThreadEventCollector runCollected(const char *Source,
+                                  const char *Tool = "fasttrack") {
+  auto Prog = parseProgramOrDie(Source);
+  InstrumentedProgram IP = instrumentTool(*Prog, *findTool(Tool));
+  return collectThreadEvents(*IP.Prog, IP.Tool);
 }
 
 } // namespace
 
 TEST(TraceRecorder, RecordsAccessesChecksAndSync) {
-  VmResult R = runTraced(R"(
+  ThreadEventCollector R = runCollected(R"(
 class C { fields f; }
 thread {
   o = new C;
@@ -42,48 +43,46 @@ thread {
   rel(o);
 }
 )");
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Access), 2u);
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Check), 2u);
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Acquire), 1u);
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Release), 1u);
+  EXPECT_EQ(R.count(Kind::Access), 2u);
+  EXPECT_EQ(R.count(Kind::Check), 2u);
+  EXPECT_EQ(R.count(Kind::Acquire), 1u);
+  EXPECT_EQ(R.count(Kind::Release), 1u);
 }
 
 TEST(TraceRecorder, ChecksPrecedeAccessesUnderFastTrack) {
-  VmResult R = runTraced(R"(
+  ThreadEventCollector R = runCollected(R"(
 class C { fields f; }
 thread {
   o = new C;
   o.f = 7;
 }
 )");
-  ASSERT_TRUE(R.Ok);
   // Exactly one check immediately before the access.
-  std::vector<TraceEvent::Kind> Kinds;
-  for (const TraceEvent &E : R.Trace)
-    Kinds.push_back(E.K);
-  ASSERT_EQ(Kinds.size(), 2u);
-  EXPECT_EQ(Kinds[0], TraceEvent::Kind::Check);
-  EXPECT_EQ(Kinds[1], TraceEvent::Kind::Access);
+  ASSERT_EQ(R.threads().size(), 1u);
+  const std::vector<ThreadEvent> &T = R.threads()[0];
+  ASSERT_EQ(T.size(), 2u);
+  EXPECT_EQ(T[0].K, Kind::Check);
+  EXPECT_EQ(T[1].K, Kind::Access);
+  EXPECT_TRUE(T[0].sameLoc(T[1]));
+  EXPECT_EQ(T[0].Access, AccessKind::Write);
 }
 
 TEST(TraceRecorder, LocationKeysAreConcrete) {
-  VmResult R = runTraced(R"(
+  ThreadEventCollector R = runCollected(R"(
 thread {
   a = new_array(4);
   a[2] = 9;
 }
 )");
-  ASSERT_TRUE(R.Ok);
   bool SawElem = false;
-  for (const TraceEvent &E : R.Trace)
-    if (E.K == TraceEvent::Kind::Access)
-      SawElem = E.Loc.find("[2]") != std::string::npos;
+  for (const ThreadEvent &E : R.threads()[0])
+    if (E.K == Kind::Access)
+      SawElem = E.OnArray && E.Elem == 2;
   EXPECT_TRUE(SawElem);
 }
 
 TEST(TraceRecorder, VolatileAccessesBecomeSyncEvents) {
-  VmResult R = runTraced(R"(
+  ThreadEventCollector R = runCollected(R"(
 class C {
   fields d;
   volatile fields v;
@@ -94,14 +93,15 @@ thread {
   t = o.v;
 }
 )");
-  ASSERT_TRUE(R.Ok);
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Release), 1u); // Volatile write.
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Acquire), 1u); // Volatile read.
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Access), 0u);
+  ASSERT_EQ(R.threads().size(), 1u);
+  const std::vector<ThreadEvent> &T = R.threads()[0];
+  ASSERT_EQ(T.size(), 2u);
+  EXPECT_EQ(T[0].K, Kind::Release); // Volatile write.
+  EXPECT_EQ(T[1].K, Kind::Acquire); // Volatile read.
 }
 
 TEST(TraceRecorder, BarrierEmitsReleaseThenAcquirePerParty) {
-  auto Prog = parseProgramOrDie(R"(
+  ThreadEventCollector R = runCollected(R"(
 class W {
   fields dummy;
   method run(b) {
@@ -117,20 +117,23 @@ thread {
   join t1;
   join t2;
 }
-)");
-  InstrumentedProgram IP = instrumentBigFoot(*Prog);
-  VmOptions Opts;
-  Opts.RecordEventTrace = true;
-  VmResult R = runProgram(*IP.Prog, IP.Tool, Opts);
-  ASSERT_TRUE(R.Ok) << R.Error;
+)",
+                                        "bigfoot");
   // Releases: 2 forks (main) + 2 barrier arrivals. Acquires: 2 barrier
   // passes + 2 joins (main).
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Release), 4u);
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Acquire), 4u);
+  EXPECT_EQ(R.count(Kind::Release), 4u);
+  EXPECT_EQ(R.count(Kind::Acquire), 4u);
+  ASSERT_EQ(R.threads().size(), 3u);
+  for (ThreadId Party : {1u, 2u}) {
+    const std::vector<ThreadEvent> &T = R.threads()[Party];
+    ASSERT_EQ(T.size(), 2u) << "thread " << Party;
+    EXPECT_EQ(T[0].K, Kind::Release) << "thread " << Party;
+    EXPECT_EQ(T[1].K, Kind::Acquire) << "thread " << Party;
+  }
 }
 
 TEST(TraceRecorder, RangeChecksExpandPerElement) {
-  auto Prog = parseProgramOrDie(R"(
+  ThreadEventCollector R = runCollected(R"(
 thread {
   n = 6;
   a = new_array(n);
@@ -140,20 +143,11 @@ thread {
     i = i + 1;
   }
 }
-)");
-  InstrumentedProgram IP = instrumentBigFoot(*Prog);
-  VmOptions Opts;
-  Opts.RecordEventTrace = true;
-  VmResult R = runProgram(*IP.Prog, IP.Tool, Opts);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  // The single coalesced check expands to one trace entry per element so
+)",
+                                        "bigfoot");
+  // The single coalesced range check covers one element per access, so
   // the oracle can match accesses exactly.
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Check), 6u);
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Access), 6u);
-}
-
-TEST(TraceRecorder, OffByDefault) {
-  auto Prog = parseProgramOrDie("thread { x = 1; }");
-  VmResult R = runProgramBase(*Prog);
-  EXPECT_TRUE(R.Trace.empty());
+  EXPECT_EQ(R.count(Kind::Check), 6u);
+  EXPECT_EQ(R.count(Kind::Access), 6u);
+  EXPECT_TRUE(checksArePrecise(R));
 }

@@ -4,7 +4,7 @@
 //
 // Every suite program must parse, run cleanly, self-validate, and be race
 // free under the oracle; every tool must stay precise on it. The racy
-// variants must be flagged by all five tools, with matching locations.
+// variants must be flagged by all six tools, with matching locations.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +50,8 @@ TEST_P(WorkloadSuite, ParsesAndRunsCleanly) {
 TEST_P(WorkloadSuite, AllToolsPreciseOnIt) {
   Workload W = workloadByName(GetParam(), SuiteScale::Test);
   auto Prog = parseProgramOrDie(W.Source.c_str());
-  for (InstrumentedProgram &IP : instrumentAll(*Prog)) {
+  for (const ToolSpec &T : kTools) {
+    InstrumentedProgram IP = instrumentTool(*Prog, T);
     VmOptions Opts;
     Opts.Seed = 5;
     Opts.EnableGroundTruth = true;
@@ -76,7 +77,8 @@ TEST_P(WorkloadSuite, DeterministicOutputAcrossTools) {
   Opts.Seed = 11;
   VmResult Base = runProgramBase(*Prog, Opts);
   ASSERT_TRUE(Base.Ok) << Base.Error;
-  for (InstrumentedProgram &IP : instrumentAll(*Prog)) {
+  for (const ToolSpec &T : kTools) {
+    InstrumentedProgram IP = instrumentTool(*Prog, T);
     VmResult Run = runProgram(*IP.Prog, IP.Tool, Opts);
     ASSERT_TRUE(Run.Ok) << W.Name << "/" << IP.Tool.Name << ": "
                         << Run.Error;
@@ -94,7 +96,8 @@ INSTANTIATE_TEST_SUITE_P(Suite, WorkloadSuite,
 TEST(WorkloadRacy, AllToolsFlagRacyVariants) {
   for (const Workload &W : racyVariants()) {
     auto Prog = parseProgramOrDie(W.Source.c_str());
-    for (InstrumentedProgram &IP : instrumentAll(*Prog)) {
+    for (const ToolSpec &T : kTools) {
+      InstrumentedProgram IP = instrumentTool(*Prog, T);
       VmOptions Opts;
       Opts.Seed = 3;
       Opts.Quantum = 4;

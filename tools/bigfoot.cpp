@@ -77,8 +77,10 @@ trace subcommands (record once, re-analyze offline):
                   stream to FILE; the report is identical to a plain run
   bigfoot trace replay [--tool=NAME] FILE
                   replay FILE into a fresh detector (default: the
-                  recorded config; NAME must share its placement) and
-                  print the same report the recording run printed
+                  recorded config) and print the same report the
+                  recording run printed; NAME must share the recorded
+                  tool's placement (fasttrack, slimstate and djit share
+                  one, redcard and slimcard another, bigfoot has its own)
   bigfoot trace info FILE
                   describe a trace: config, symbols, events, summary
 )";
@@ -181,47 +183,12 @@ void reportAsync(const VmOptions &Opts, const VmResult &Run) {
   reportShards(Opts.DetectShards, Run);
 }
 
-/// Instruments \p Prog for the named tool; false on an unknown name.
-bool instrumentNamed(const Program &Prog, const std::string &ToolName,
-                     InstrumentedProgram &IP) {
-  if (ToolName == "bigfoot")
-    IP = instrumentBigFoot(Prog);
-  else if (ToolName == "fasttrack")
-    IP = instrumentFastTrack(Prog);
-  else if (ToolName == "redcard")
-    IP = instrumentRedCard(Prog);
-  else if (ToolName == "slimstate")
-    IP = instrumentSlimState(Prog);
-  else if (ToolName == "slimcard")
-    IP = instrumentSlimCard(Prog);
-  else if (ToolName == "djit") {
-    IP = instrumentFastTrack(Prog);
-    IP.Tool = djitConfig();
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// The config \p Name replays a recorded trace under. Proxy maps are
-/// placement properties, so they come from the recorded config.
-bool replayConfigNamed(const std::string &Name,
-                       const DetectorConfig &Recorded, DetectorConfig &Out) {
-  if (Name == "fasttrack")
-    Out = fastTrackConfig();
-  else if (Name == "slimstate")
-    Out = slimStateConfig();
-  else if (Name == "djit")
-    Out = djitConfig();
-  else if (Name == "redcard")
-    Out = redCardConfig(Recorded.FieldProxy);
-  else if (Name == "slimcard")
-    Out = slimCardConfig(Recorded.FieldProxy);
-  else if (Name == "bigfoot")
-    Out = bigFootConfig(Recorded.FieldProxy);
-  else
-    return false;
-  return true;
+/// The tool called \p Name, or null after an "unknown tool" error.
+const ToolSpec *toolNamed(const std::string &Name) {
+  const ToolSpec *Tool = findTool(Name);
+  if (!Tool)
+    std::cerr << "bigfoot: error: unknown tool '" << Name << "'\n";
+  return Tool;
 }
 
 int traceMain(int Argc, char **Argv) {
@@ -270,11 +237,10 @@ int traceMain(int Argc, char **Argv) {
     }
     if (ToolName.empty())
       ToolName = "bigfoot";
-    InstrumentedProgram IP;
-    if (!instrumentNamed(*PR.Prog, ToolName, IP)) {
-      std::cerr << "bigfoot: error: unknown tool '" << ToolName << "'\n";
+    const ToolSpec *Tool = toolNamed(ToolName);
+    if (!Tool)
       return 1;
-    }
+    InstrumentedProgram IP = instrumentTool(*PR.Prog, *Tool);
     IP.Prog->internSymbols(); // The trace header serializes the table.
     TraceWriter Writer(IP.Prog->symbols(), IP.Tool);
     VmOpts.RecordSink = &Writer;
@@ -299,10 +265,20 @@ int traceMain(int Argc, char **Argv) {
       return 1;
     }
     DetectorConfig Cfg = Reader.config();
-    if (!ToolName.empty() &&
-        !replayConfigNamed(ToolName, Reader.config(), Cfg)) {
-      std::cerr << "bigfoot: error: unknown tool '" << ToolName << "'\n";
-      return 1;
+    if (!ToolName.empty()) {
+      // Proxy maps are placement properties, so a tool replays a trace
+      // only when it shares the recorded config's placement.
+      const ToolSpec *Tool = toolNamed(ToolName);
+      if (!Tool)
+        return 1;
+      const ToolSpec *Recorded = findTool(Cfg.Name);
+      if (!Recorded || Recorded->Placement != Tool->Placement) {
+        std::cerr << "bigfoot: error: tool '" << ToolName
+                  << "' cannot replay a trace recorded under '" << Cfg.Name
+                  << "': a tool replays only traces of its own placement\n";
+        return 1;
+      }
+      Cfg = Tool->Config(Cfg.FieldProxy);
     }
     ReplayOptions ROpts;
     ROpts.EnableGroundTruth = Oracle;
@@ -431,11 +407,10 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  InstrumentedProgram IP;
-  if (!instrumentNamed(*PR.Prog, ToolName, IP)) {
-    std::cerr << "bigfoot: error: unknown tool '" << ToolName << "'\n";
+  const ToolSpec *Tool = toolNamed(ToolName);
+  if (!Tool)
     return 1;
-  }
+  InstrumentedProgram IP = instrumentTool(*PR.Prog, *Tool);
 
   if (PrintOnly) {
     std::cout << printProgram(*IP.Prog);
