@@ -8,7 +8,7 @@
 // construction) in these configurations, best-of-N wall-clock each:
 //
 //   sync      detector inline with execution — the reference;
-//   async     the single-thread pipeline (VmOptions::AsyncDetect), the
+//   async     the single-thread pipeline (DetectOptions::AsyncDetect), the
 //             fair baseline sharding must beat: it already overlaps
 //             detection with execution, sharding adds lane parallelism;
 //   shards=K  K location-partitioned detector workers, K in {1,2,4,8},
@@ -153,7 +153,7 @@ ShardRow measureWorkload(const Workload &W, const BenchArgs &Args) {
         Leg.WallS = Sec;
         Leg.VmS = R.VmSeconds;
         Leg.DetS = R.DetectorSeconds;
-        Leg.Stalls = R.AsyncStalls;
+        Leg.Stalls = R.DetectorStalls;
       }
     }
   }

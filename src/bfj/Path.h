@@ -31,10 +31,6 @@ namespace bigfoot {
 /// covers reads and writes, a read check covers only reads (Section 5).
 enum class AccessKind { Read, Write };
 
-inline const char *accessKindName(AccessKind K) {
-  return K == AccessKind::Read ? "read" : "write";
-}
-
 /// One checked path.
 struct Path {
   enum class Kind { Field, Array };

@@ -40,7 +40,7 @@ class AsyncSink final : public EventSink {
 public:
   /// Spawns the detector thread. \p Downstream must outlive this sink.
   AsyncSink(EventSink &Downstream,
-            size_t RingBatches = kDefaultAsyncRingBatches);
+            size_t RingBatches = kDefaultRingBatches);
 
   /// Drains, stops, and joins the detector thread.
   ~AsyncSink() override;
@@ -60,7 +60,7 @@ public:
 
   /// Seconds the detector thread spent applying batches (busy time only;
   /// waiting for work is excluded). Valid after drain().
-  double detectorSeconds() const { return BusyNs * 1e-9; }
+  double busySeconds() const { return BusyNs * 1e-9; }
 
   /// Batches handed through the ring. Valid after drain().
   uint64_t batchesConsumed() const { return Ring.published(); }

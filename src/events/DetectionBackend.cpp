@@ -28,10 +28,9 @@ size_t bigfoot::autoShardCount() {
   return std::min<size_t>(8, HW - 1); // Leave a core for the producer.
 }
 
-bool bigfoot::parseDetectFlag(const char *Arg, DetectOptions &Opts,
-                              bool &AsyncDetect) {
+bool bigfoot::parseDetectFlag(const char *Arg, DetectOptions &Opts) {
   if (std::strcmp(Arg, "--async-detect") == 0)
-    AsyncDetect = true;
+    Opts.AsyncDetect = true;
   else if (std::strcmp(Arg, "--detect-shards=auto") == 0)
     Opts.DetectShards = autoShardCount();
   else if (std::strncmp(Arg, "--detect-shards=", 16) == 0)
@@ -45,18 +44,15 @@ bool bigfoot::parseDetectFlag(const char *Arg, DetectOptions &Opts,
 }
 
 DetectionBackend::DetectionBackend(const DetectorConfig *ToolCfg,
-                                   bool WithOracle, const DetectOptions &Opts,
-                                   bool AsyncDetect, size_t RingBatches,
+                                   const DetectOptions &Opts,
                                    const SymbolTable *Symbols,
                                    DetectResult &Result)
     : Result(Result) {
-  RingBatches = std::max<size_t>(2, RingBatches);
   // Sharding partitions the tool's locations, so a run without a tool
   // detector falls back to the unsharded paths.
   if (Opts.DetectShards > 0 && ToolCfg) {
     ShardedSink::Options SO;
     static_cast<DetectOptions &>(SO) = Opts;
-    SO.RingBatches = RingBatches;
     SO.Tool = *ToolCfg;
     SO.Symbols = Symbols;
     Sharded = std::make_unique<ShardedSink>(std::move(SO));
@@ -68,9 +64,9 @@ DetectionBackend::DetectionBackend(const DetectorConfig *ToolCfg,
     // a private Stats that finish() merges (the name sets are disjoint and
     // the map is sorted, so the merge is byte-identical to sync mode's).
     Tool = std::make_unique<RaceDetector>(
-        Cfg, AsyncDetect ? AsyncToolCounters : Result.Counters, Symbols);
+        Cfg, Opts.AsyncDetect ? AsyncToolCounters : Result.Counters, Symbols);
   }
-  if (WithOracle) {
+  if (Opts.EnableGroundTruth) {
     DetectorConfig OracleCfg = fastTrackConfig();
     OracleCfg.CheckFilter = Opts.CheckFilter;
     Oracle = std::make_unique<RaceDetector>(OracleCfg, OracleCounters,
@@ -78,8 +74,8 @@ DetectionBackend::DetectionBackend(const DetectorConfig *ToolCfg,
   }
   Detectors.bind(Tool.get(), Oracle.get());
   // A sharded run pipelines the oracle on its own thread beside the lanes.
-  if (!Detectors.empty() && (AsyncDetect || Sharded))
-    Async = std::make_unique<AsyncSink>(Detectors, RingBatches);
+  if (!Detectors.empty() && (Opts.AsyncDetect || Sharded))
+    Async = std::make_unique<AsyncSink>(Detectors, Opts.RingBatches);
   Fanout.add(Sharded.get());
   if (Async)
     Fanout.add(Async.get());
@@ -91,11 +87,15 @@ DetectionBackend::DetectionBackend(const DetectorConfig *ToolCfg,
 DetectionBackend::~DetectionBackend() = default;
 
 void DetectionBackend::finish() {
-  if (Async)
+  if (Async) {
     Async->drain();
+    Result.DetectorSeconds = Async->busySeconds();
+    Result.DetectorBatches = Async->batchesConsumed();
+    Result.DetectorStalls = Async->producerStalls();
+  }
   if (Sharded) {
     Sharded->drain();
-    Sharded->finish(Result);
+    Sharded->finish(Result); // Adds the lanes' pipeline stats.
   }
   if (Tool) {
     Tool->sampleMemoryNow();
@@ -112,20 +112,4 @@ void DetectionBackend::finish() {
   // Final values only (empty in sync mode), so gauges merge exactly too.
   for (const auto &[Name, Value] : AsyncToolCounters.all())
     Result.Counters.bump(Name, Value);
-}
-
-double DetectionBackend::detectorSeconds() const {
-  return Sharded ? Sharded->detectorSeconds()
-         : Async ? Async->detectorSeconds()
-                 : 0.0;
-}
-
-uint64_t DetectionBackend::batches() const {
-  return (Sharded ? Sharded->batchesConsumed() : 0) +
-         (Async ? Async->batchesConsumed() : 0);
-}
-
-uint64_t DetectionBackend::stalls() const {
-  return (Sharded ? Sharded->producerStalls() : 0) +
-         (Async ? Async->producerStalls() : 0);
 }

@@ -7,8 +7,9 @@
 /// \file
 /// A BigFoot run attaches exactly one RoadRunner tool; here a run attaches
 /// exactly one DetectionBackend. It is the only code that turns the tool
-/// config (or none), the oracle flag, the detection knobs and the async
-/// flag into the EventSink a stream feeds — the inline DetectorSink, the
+/// config (or none) and the detection knobs (DetectOptions: filter,
+/// oracle, async, shards, ring depth) into the EventSink a stream feeds —
+/// the inline DetectorSink, the
 /// single-thread AsyncSink (DESIGN.md Sec. 10), or the location-partitioned
 /// ShardedSink (Sec. 12) teed with the oracle behind its own AsyncSink —
 /// and the only code that, once the stream is flushed, drains that sink
@@ -22,6 +23,7 @@
 #define BIGFOOT_EVENTS_DETECTIONBACKEND_H
 
 #include "events/DetectorSink.h"
+#include "events/SpscBatchRing.h"
 #include "runtime/Detector.h"
 #include "support/Stats.h"
 
@@ -37,9 +39,9 @@ class AsyncSink;
 class ShardedSink;
 
 /// The detection knobs an online run, a replay and the experiment harness
-/// all take. None of them is a trace property: a replay applies its own
-/// values, whatever the recording run used. Reports and counters are
-/// byte-identical for every setting.
+/// all take, declared here once. None of them is a trace property: a
+/// replay applies its own values, whatever the recording run used.
+/// Reports and counters are byte-identical for every setting.
 struct DetectOptions {
   /// Epoch-stamped redundant-check elision in front of the detectors
   /// (DESIGN.md Sec. 11). Off = every check runs the full state machine.
@@ -49,6 +51,21 @@ struct DetectOptions {
   /// Online, > 0 implies the async pipeline and takes precedence over
   /// AsyncDetect; a run without a tool detector does not shard.
   size_t DetectShards = 0;
+  /// Run the attached detectors on a dedicated thread fed by a bounded
+  /// SPSC batch ring (DESIGN.md Sec. 10). Batches are applied in
+  /// publication order, so reports are byte-identical to inline detection.
+  bool AsyncDetect = false;
+  /// Ring depth in batches for AsyncDetect and for each sharded lane
+  /// (clamped to >= 2).
+  size_t RingBatches = kDefaultRingBatches;
+  /// Attach the per-access ground-truth FastTrack oracle, whose counters
+  /// are discarded. Online, the VM then emits every heap access; a replay
+  /// rebuilds it from the trace's oracle-targeted events, which only a
+  /// run recorded with the oracle attached has.
+  bool EnableGroundTruth = false;
+  /// Events per batch: the VM's ring flush size, and a replay's decode
+  /// size (1 = per-event dispatch, the differential reference mode).
+  size_t EventBatch = kDefaultEventBatch;
 };
 
 /// Shard count for `--detect-shards=auto`: derived from
@@ -61,7 +78,7 @@ size_t autoShardCount();
 /// `--detect-shards=N|auto` (N in [0, 64]: each shard is a thread) or
 /// `--no-check-filter`; false if it is none of them.
 /// A malformed shard count exits with an error.
-bool parseDetectFlag(const char *Arg, DetectOptions &Opts, bool &AsyncDetect);
+bool parseDetectFlag(const char *Arg, DetectOptions &Opts);
 
 /// Post-drain statistics for one sharded worker lane.
 struct ShardLaneStats {
@@ -86,15 +103,23 @@ struct DetectResult {
   /// Scheduler steps executed (identical across execution modes).
   uint64_t StatementsExecuted = 0;
 
-  // The filter and shard stats below are kept beside — never inside —
-  // Counters, which must not differ between filter-on and filter-off runs
-  // or across dispatch modes.
+  // The filter, pipeline and shard stats below are kept beside — never
+  // inside — Counters, which must not differ between filter-on and
+  // filter-off runs or across dispatch modes.
 
   /// Check-filter effectiveness for the tool detector (zeros when off).
   bool FilterEnabled = false;
   CheckFilterStats Filter;
   /// Filter metadata footprint; summed over lanes when sharded.
   uint64_t FilterTableBytes = 0;
+  /// Pipelined modes only (AsyncDetect or DetectShards > 0; zero inline):
+  /// busy seconds of the busiest detector thread (waits excluded; a shard
+  /// lane or the oracle's thread beside the lanes), and batches handed
+  /// through the rings and producer backpressure stalls, summed over
+  /// every ring.
+  double DetectorSeconds = 0.0;
+  uint64_t DetectorBatches = 0;
+  uint64_t DetectorStalls = 0;
   /// Sharded mode only (DetectShards > 0); empty/zero otherwise. Lanes in
   /// shard order.
   std::vector<ShardLaneStats> ShardLanes;
@@ -122,15 +147,10 @@ struct DetectResult {
 class DetectionBackend {
 public:
   /// \p ToolCfg null attaches no tool detector (a base or recording-only
-  /// run). \p WithOracle attaches the per-access ground-truth FastTrack
-  /// detector, whose counters are discarded. \p RingBatches is the ring
-  /// depth of the pipelined modes (clamped to >= 2). \p Symbols seeds the
-  /// detectors' field-id namespace and must outlive the backend, as must
-  /// \p Result, which finish() fills.
-  DetectionBackend(const DetectorConfig *ToolCfg, bool WithOracle,
-                   const DetectOptions &Opts, bool AsyncDetect,
-                   size_t RingBatches, const SymbolTable *Symbols,
-                   DetectResult &Result);
+  /// run). \p Symbols seeds the detectors' field-id namespace and must
+  /// outlive the backend, as must \p Result, which finish() fills.
+  DetectionBackend(const DetectorConfig *ToolCfg, const DetectOptions &Opts,
+                   const SymbolTable *Symbols, DetectResult &Result);
 
   /// Drains, stops and joins any detector threads.
   ~DetectionBackend();
@@ -143,16 +163,8 @@ public:
 
   /// Call once, after the stream's last batch was delivered: drains any
   /// detector threads, merges their counters into Result.Counters, and
-  /// fills Result's race, filter and shard fields.
+  /// fills Result's race, filter, pipeline and shard fields.
   void finish();
-
-  /// Pipelined modes only (zero in sync mode), valid after finish():
-  /// busy seconds of the detector thread (the busiest shard lane when
-  /// sharded), and batches handed through the rings and producer
-  /// backpressure stalls, summed over every ring.
-  double detectorSeconds() const;
-  uint64_t batches() const;
-  uint64_t stalls() const;
 
 private:
   DetectResult &Result;

@@ -6,10 +6,7 @@
 
 #include "events/Replay.h"
 
-#include "events/SpscBatchRing.h"
-
-#include <atomic>
-#include <thread>
+#include "support/Parallel.h"
 
 using namespace bigfoot;
 
@@ -64,36 +61,19 @@ ReplayResult bigfoot::replayTrace(TraceReader &Reader,
   }
 
   R.Tool = Tool.Name;
-  // Replay has no async mode; the ring depth only sizes sharded lanes.
-  DetectionBackend Backend(&Tool, Opts.EnableGroundTruth, Opts,
-                           /*AsyncDetect=*/false, kDefaultAsyncRingBatches,
-                           &Reader.symbols(), R);
-  if (!pumpTrace(Reader, *Backend.sink(), Opts.Batch, R))
+  DetectionBackend Backend(&Tool, Opts, &Reader.symbols(), R);
+  if (!pumpTrace(Reader, *Backend.sink(), Opts.EventBatch, R))
     return R;
   applySummary(Reader.summary(), R);
   Backend.finish();
   return R;
 }
 
-ReplayResult bigfoot::replayTraceFile(const std::string &Path,
-                                      const ReplayOptions &Opts) {
-  TraceReader Reader;
-  if (!Reader.openFile(Path)) {
-    ReplayResult R;
-    R.Error = Reader.error();
-    return R;
-  }
-  return replayTrace(Reader, Reader.config(), Opts);
-}
-
 std::vector<ReplayResult>
 bigfoot::replayTracesParallel(const std::vector<ReplayJob> &Jobs,
                               unsigned Threads) {
   std::vector<ReplayResult> Results(Jobs.size());
-  if (Jobs.empty())
-    return Results;
-
-  auto RunJob = [&](size_t I) {
+  forEachParallel(Jobs.size(), Threads, [&](size_t I) {
     const ReplayJob &Job = Jobs[I];
     ReplayResult &R = Results[I];
     if (!Job.Trace) {
@@ -108,34 +88,6 @@ bigfoot::replayTracesParallel(const std::vector<ReplayJob> &Jobs,
     DetectorConfig Cfg =
         Job.MakeConfig ? Job.MakeConfig(Reader.config()) : Reader.config();
     R = replayTrace(Reader, Cfg, Job.Opts);
-  };
-
-  if (Threads == 0)
-    Threads = std::thread::hardware_concurrency();
-  if (Threads == 0)
-    Threads = 1;
-  if (Threads > Jobs.size())
-    Threads = unsigned(Jobs.size());
-
-  if (Threads == 1) {
-    for (size_t I = 0; I < Jobs.size(); ++I)
-      RunJob(I);
-    return Results;
-  }
-
-  // Atomic-index pool: each worker claims the next unstarted job, so a
-  // slow trace never serializes the rest behind a static partition.
-  std::atomic<size_t> Next{0};
-  std::vector<std::thread> Pool;
-  Pool.reserve(Threads);
-  for (unsigned W = 0; W < Threads; ++W)
-    Pool.emplace_back([&] {
-      for (size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-           I < Jobs.size();
-           I = Next.fetch_add(1, std::memory_order_relaxed))
-        RunJob(I);
-    });
-  for (std::thread &T : Pool)
-    T.join();
+  });
   return Results;
 }

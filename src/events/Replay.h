@@ -37,14 +37,9 @@ struct ReplayResult : DetectResult {
   uint64_t EventsReplayed = 0;
 };
 
-struct ReplayOptions : DetectOptions {
-  /// Events per replay batch (1 = per-event reference dispatch).
-  size_t Batch = kDefaultEventBatch;
-  /// Also rebuild the per-access ground-truth oracle from the trace's
-  /// oracle-targeted events (requires a trace recorded with the oracle
-  /// attached; without those events the oracle simply sees nothing).
-  bool EnableGroundTruth = false;
-};
+/// A replay takes exactly the detection knobs a run does, and pipelines,
+/// shards and batches with them exactly as a run would.
+using ReplayOptions = DetectOptions;
 
 /// Replays \p Reader (already open()ed) into a fresh detector built from
 /// \p Tool. \p Tool may be any config sharing the recording placement —
@@ -52,11 +47,6 @@ struct ReplayOptions : DetectOptions {
 /// trace under fasttrack, slimstate, and djit, for example.
 ReplayResult replayTrace(TraceReader &Reader, const DetectorConfig &Tool,
                          const ReplayOptions &Opts = ReplayOptions());
-
-/// Convenience: opens \p Path and replays it under the trace's own
-/// recorded config. Decode errors surface as Ok = false.
-ReplayResult replayTraceFile(const std::string &Path,
-                             const ReplayOptions &Opts = ReplayOptions());
 
 /// One unit of work for replayTracesParallel: an encoded trace plus the
 /// config to replay it under. MakeConfig receives the trace's recorded

@@ -20,11 +20,10 @@ ShardedSink::ShardedSink(Options O)
       // writer census must mirror); deferred adds do not.
       TouchArrayChecks(!O.Tool.DeferArrayChecks),
       ToolFilterOn(O.CheckFilter) {
-  size_t RingBatches = std::max<size_t>(2, O.RingBatches);
   O.Tool.CheckFilter = O.CheckFilter;
   Shards.reserve(NumShards);
   for (size_t S = 0; S < NumShards; ++S) {
-    auto L = std::make_unique<Lane>(RingBatches);
+    auto L = std::make_unique<Lane>(O.RingBatches);
     L->Detector =
         std::make_unique<RaceDetector>(O.Tool, L->Counters, O.Symbols);
     L->Detector->attachSharedSync(&Table);
@@ -346,6 +345,9 @@ void ShardedSink::finish(DetectResult &R) {
     LS.Stalls = L->Ring.fullStalls();
     LS.BusyNs = L->BusyNs;
     R.ShardLanes.push_back(LS);
+    R.DetectorSeconds = std::max(R.DetectorSeconds, double(LS.BusyNs) * 1e-9);
+    R.DetectorBatches += LS.Batches;
+    R.DetectorStalls += LS.Stalls;
     R.ShardHorizonAdvances += L->MarkersApplied;
     R.ShardTableReads += L->Detector->sharedSyncReads();
     R.ShardOrderViolations += L->OrderViolations;
@@ -354,25 +356,4 @@ void ShardedSink::finish(DetectResult &R) {
   R.ShardBroadcastEvents = BroadcastEvents;
   R.ShardSyncPublishes = Table.publishes();
   R.ShardSyncTableBytes = Table.tableBytes();
-}
-
-double ShardedSink::detectorSeconds() const {
-  uint64_t BusyNs = 0;
-  for (const auto &L : Shards)
-    BusyNs = std::max(BusyNs, L->BusyNs);
-  return double(BusyNs) * 1e-9;
-}
-
-uint64_t ShardedSink::batchesConsumed() const {
-  uint64_t N = 0;
-  for (const auto &L : Shards)
-    N += L->Ring.published();
-  return N;
-}
-
-uint64_t ShardedSink::producerStalls() const {
-  uint64_t N = 0;
-  for (const auto &L : Shards)
-    N += L->Ring.fullStalls();
-  return N;
 }

@@ -111,10 +111,9 @@ struct ShardBatch {
 class ShardedSink final : public EventSink {
 public:
   /// The detection knobs: DetectShards is the worker count (clamped to
-  /// >= 1) and CheckFilter applies to every replica.
+  /// >= 1), RingBatches each lane's ring depth, and CheckFilter applies
+  /// to every replica.
   struct Options : DetectOptions {
-    /// Per-lane ring depth in batches (clamped to >= 2).
-    size_t RingBatches = kDefaultAsyncRingBatches;
     /// Config every shard replica runs (its CheckFilter is replaced by
     /// the knob).
     DetectorConfig Tool;
@@ -144,18 +143,11 @@ public:
   /// Merges the shards into \p R in single-detector shape: summed tool.*
   /// counters plus the reconstructed peak gauges bumped into R.Counters
   /// (byte-identical to one detector's Stats), tool races, and the filter
-  /// and shard stats. Call once, after drain(), from the producer thread;
-  /// workers are idle by then, so replica state is safe to read.
+  /// and shard stats; the lanes' slots and stalls are added to the
+  /// pipeline stats and the busiest lane raises DetectorSeconds. Call
+  /// once, after drain(), from the producer thread; workers are idle by
+  /// then, so replica state is safe to read.
   void finish(DetectResult &R);
-
-  /// Busy seconds of the busiest shard lane — the detection critical
-  /// path. Valid after drain().
-  double detectorSeconds() const;
-
-  /// Slots published and producer backpressure stalls, summed over every
-  /// lane. Valid after drain().
-  uint64_t batchesConsumed() const;
-  uint64_t producerStalls() const;
 
 private:
   /// One worker lane: a detector replica behind its own SPSC ring.

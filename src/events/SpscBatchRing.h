@@ -72,7 +72,7 @@ struct EventBatch {
 /// hiccups (a slow batch, a scheduling gap) without stalling the VM;
 /// shallow enough that the buffered window stays cache- and
 /// memory-cheap (16 batches x 256 events x 64 B = 256 KiB worst case).
-inline constexpr size_t kDefaultAsyncRingBatches = 16;
+inline constexpr size_t kDefaultRingBatches = 16;
 
 /// Bounded SPSC ring of \p SlotT slots. Exactly one producer thread may
 /// call the producer-side methods and one consumer thread the
@@ -84,7 +84,7 @@ inline constexpr size_t kDefaultAsyncRingBatches = 16;
 /// a slot differs. Slots are default-constructed once and recycled.
 template <typename SlotT> class SpscSlotRing {
 public:
-  explicit SpscSlotRing(size_t Batches = kDefaultAsyncRingBatches)
+  explicit SpscSlotRing(size_t Batches = kDefaultRingBatches)
       : Cap(Batches < 2 ? 2 : Batches), Ring(Cap) {}
 
   size_t capacity() const { return Cap; }

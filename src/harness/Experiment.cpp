@@ -41,18 +41,16 @@
 #include "events/TraceCodec.h"
 #include "instrument/Instrumenters.h"
 #include "support/Flags.h"
+#include "support/Parallel.h"
 #include "support/Timer.h"
 #include "vm/Vm.h"
 
 #include <array>
-#include <atomic>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <thread>
 
 #include <sys/stat.h>
 
@@ -74,7 +72,6 @@ using PlacementTraces = std::array<std::vector<uint8_t>, kNumPlacements>;
 VmOptions vmOptionsFor(const ExperimentOptions &Opts) {
   VmOptions VmOpts;
   VmOpts.Seed = Opts.Seed;
-  VmOpts.AsyncDetect = Opts.AsyncDetect;
   static_cast<DetectOptions &>(VmOpts) = Opts;
   return VmOpts;
 }
@@ -194,7 +191,7 @@ void appendReplayJobs(const PlacementTraces &Traces,
     J.MakeConfig = [&T](const DetectorConfig &Recorded) {
       return T.Config(Recorded.FieldProxy);
     };
-    static_cast<DetectOptions &>(J.Opts) = Opts;
+    J.Opts = Opts;
     Jobs.push_back(std::move(J));
   }
 }
@@ -248,32 +245,6 @@ void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
                       ? (ToolSec - Out.BaseSeconds) / Out.BaseSeconds
                       : 0;
   }
-}
-
-/// Runs Fn(0..Count) over a fixed pool of \p Jobs threads (0 = one per
-/// hardware thread). Work items must be independent and write disjoint
-/// state; completion order never affects results.
-void forEachParallel(size_t Count, unsigned JobsOpt,
-                     const std::function<void(size_t)> &Fn) {
-  size_t Jobs = JobsOpt ? JobsOpt : std::thread::hardware_concurrency();
-  if (Jobs < 1)
-    Jobs = 1;
-  Jobs = std::min(Jobs, Count);
-  if (Jobs <= 1) {
-    for (size_t I = 0; I < Count; ++I)
-      Fn(I);
-    return;
-  }
-  std::atomic<size_t> Next{0};
-  std::vector<std::thread> Pool;
-  Pool.reserve(Jobs);
-  for (size_t J = 0; J < Jobs; ++J)
-    Pool.emplace_back([&] {
-      for (size_t I = Next.fetch_add(1); I < Count; I = Next.fetch_add(1))
-        Fn(I);
-    });
-  for (std::thread &T : Pool)
-    T.join();
 }
 
 /// Phases 1 and 2 over \p Suite, one result per workload in order.
@@ -368,7 +339,7 @@ BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
       Args.Opts.RecordDir = Arg + 13;
     else if (std::strncmp(Arg, "--workload=", 11) == 0)
       Args.Workload = Arg + 11;
-    else if (!parseDetectFlag(Arg, Args.Opts, Args.Opts.AsyncDetect)) {
+    else if (!parseDetectFlag(Arg, Args.Opts)) {
       std::fprintf(stderr, "bigfoot: error: unknown option '%s'\n", Arg);
       std::exit(1);
     }

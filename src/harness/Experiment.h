@@ -76,10 +76,6 @@ struct ExperimentOptions : DetectOptions {
   /// When non-empty, the counters phase's recorded traces are also
   /// written into this directory as <workload>.<placement>.bft.
   std::string RecordDir;
-  /// Run detectors on a dedicated thread per VM (VmOptions::AsyncDetect).
-  /// Only the timed runs attach a detector to a VM; the counters phase
-  /// replays traces.
-  bool AsyncDetect = false;
 };
 
 /// Runs all six detectors (plus the base) on one workload.

@@ -262,10 +262,6 @@ public:
     SampleLog = Log;
   }
 
-  /// The arena backing every inflated clock of this detector's shadow
-  /// locations (bench/test introspection).
-  const ClockPool &clockPool() const { return Pool; }
-
   //===--- Check filter (DESIGN.md Sec. 11) ------------------------------------
   bool filterEnabled() const { return Filter != nullptr; }
 

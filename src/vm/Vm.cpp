@@ -172,9 +172,7 @@ public:
     ThisSym = *Syms->lookup("this");
     if (Opts.UseBytecode)
       CP = compileProgram(Prog);
-    Backend = std::make_unique<DetectionBackend>(
-        ToolCfg, Opts.EnableGroundTruth, Opts, Opts.AsyncDetect,
-        Opts.AsyncRingBatches, Syms, Result);
+    Backend = std::make_unique<DetectionBackend>(ToolCfg, Opts, Syms, Result);
 
     // Wire the event stream: detectors (and an optional recording sink)
     // consume batches from the ring. Placement checks are executed
@@ -204,9 +202,6 @@ public:
     Result.Error = Error;
     Result.StatementsExecuted = Steps;
     Backend->finish();
-    Result.DetectorSeconds = Backend->detectorSeconds();
-    Result.AsyncBatches = Backend->batches();
-    Result.AsyncStalls = Backend->stalls();
     return std::move(Result);
   }
 

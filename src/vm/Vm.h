@@ -32,7 +32,6 @@
 #include "bfj/Program.h"
 #include "events/DetectionBackend.h"
 #include "events/EventSink.h"
-#include "events/SpscBatchRing.h"
 #include "runtime/Detector.h"
 #include "support/Rng.h"
 
@@ -51,17 +50,12 @@ struct VmOptions : DetectOptions {
   /// Maximum statements per scheduling quantum (actual quantum is
   /// 1 + seeded-random % Quantum).
   unsigned Quantum = 24;
-  /// Attach the per-access ground-truth FastTrack oracle.
-  bool EnableGroundTruth = false;
   /// Abort runaway programs.
   uint64_t MaxSteps = 200u * 1000 * 1000;
   /// Commit each thread's deferred footprints every N statements
   /// (0 = only at synchronization). The Section 3.3 extension for loops
   /// that might not terminate.
   uint64_t CommitIntervalSteps = 0;
-  /// Events per batch flushed from the VM's ring to its consumers
-  /// (1 = per-event dispatch, the differential reference mode).
-  size_t EventBatch = kDefaultEventBatch;
   /// Extra event-stream consumer (e.g. a TraceWriter) receiving the same
   /// batches as the attached detectors. With a sink but no detector the
   /// VM still executes placed checks (evaluating their bounds) so that a
@@ -71,14 +65,6 @@ struct VmOptions : DetectOptions {
   /// the statement tree. Both modes are schedule- and result-identical;
   /// the AST walker remains as a differential reference and escape hatch.
   bool UseBytecode = true;
-  /// Run the attached detectors on a dedicated thread fed by a bounded
-  /// SPSC batch ring (DESIGN.md Sec. 10). Event batches are applied in
-  /// publication order, so reports are byte-identical to synchronous
-  /// mode; the run drains the ring before sampling detector state.
-  bool AsyncDetect = false;
-  /// Ring depth in batches for AsyncDetect and for each sharded lane
-  /// (clamped to >= 2).
-  size_t AsyncRingBatches = kDefaultAsyncRingBatches;
 };
 
 /// Everything a run produces: the shared DetectResult fields plus what
@@ -88,14 +74,6 @@ struct VmResult : DetectResult {
   /// producer's time — setup through drain start — including any
   /// backpressure stalls; in sync mode execution and detection combined.
   double VmSeconds = 0.0;
-  /// Async mode only: seconds the detector thread spent applying batches
-  /// (busy time, excluding waits; the busiest lane when sharded). 0 in
-  /// sync mode.
-  double DetectorSeconds = 0.0;
-  /// Async mode only: batches handed through the ring / times the
-  /// producer blocked on a full ring.
-  uint64_t AsyncBatches = 0;
-  uint64_t AsyncStalls = 0;
 
   /// The run as a trace's SUMMARY section stores it: status, output,
   /// statement count, and every counter except the detector's tool.*

@@ -75,22 +75,25 @@ void feed(EventSink &Sink, const RacyStream &S, size_t BatchSize) {
   }
 }
 
-struct Outcome {
-  DetectResult R;
-  uint64_t Batches = 0;
-};
-
-Outcome detect(const DetectorConfig *Tool, bool Oracle,
-               const DetectOptions &Opts, bool Async) {
+/// Runs the stream through a backend under \p Opts, with shallow rings so
+/// that backpressure fires in the pipelined modes.
+DetectResult detect(const DetectorConfig *Tool, DetectOptions Opts) {
   RacyStream S;
-  Outcome O;
-  DetectionBackend Backend(Tool, Oracle, Opts, Async, /*RingBatches=*/2,
-                           &S.Symbols, O.R);
+  DetectResult R;
+  Opts.RingBatches = 2;
+  DetectionBackend Backend(Tool, Opts, &S.Symbols, R);
   if (EventSink *Sink = Backend.sink())
     feed(*Sink, S, 5);
   Backend.finish();
-  O.Batches = Backend.batches();
-  return O;
+  return R;
+}
+
+DetectOptions withOracle(bool Async = false, size_t Shards = 0) {
+  DetectOptions Opts;
+  Opts.EnableGroundTruth = true;
+  Opts.AsyncDetect = Async;
+  Opts.DetectShards = Shards;
+  return Opts;
 }
 
 void expectSameReport(const std::string &Tag, const DetectResult &A,
@@ -109,38 +112,40 @@ void expectSameReport(const std::string &Tag, const DetectResult &A,
 
 TEST(DetectionBackend, EveryModeFillsTheSameResult) {
   DetectorConfig Tool = fastTrackConfig();
-  DetectOptions Opts;
-  Outcome Sync = detect(&Tool, /*Oracle=*/true, Opts, /*Async=*/false);
-  ASSERT_EQ(Sync.R.ToolRaces.size(), 1u);
-  EXPECT_FALSE(Sync.R.GroundTruthRaces.empty());
-  EXPECT_TRUE(Sync.R.FilterEnabled);
-  EXPECT_TRUE(Sync.R.ShardLanes.empty());
-  EXPECT_EQ(Sync.Batches, 0u); // Nothing pipelined.
+  DetectResult Sync = detect(&Tool, withOracle());
+  ASSERT_EQ(Sync.ToolRaces.size(), 1u);
+  EXPECT_FALSE(Sync.GroundTruthRaces.empty());
+  EXPECT_TRUE(Sync.FilterEnabled);
+  EXPECT_TRUE(Sync.ShardLanes.empty());
+  // Nothing pipelined.
+  EXPECT_EQ(Sync.DetectorBatches, 0u);
+  EXPECT_EQ(Sync.DetectorStalls, 0u);
+  EXPECT_EQ(Sync.DetectorSeconds, 0.0);
 
-  Outcome Async = detect(&Tool, true, Opts, /*Async=*/true);
-  expectSameReport("async", Sync.R, Async.R);
-  EXPECT_TRUE(Async.R.ShardLanes.empty());
-  EXPECT_GT(Async.Batches, 0u);
+  DetectResult Async = detect(&Tool, withOracle(/*Async=*/true));
+  expectSameReport("async", Sync, Async);
+  EXPECT_TRUE(Async.ShardLanes.empty());
+  EXPECT_GT(Async.DetectorBatches, 0u);
+  EXPECT_GT(Async.DetectorSeconds, 0.0);
 
   for (size_t Shards : {size_t(1), size_t(3)}) {
     std::string Tag = "shards" + std::to_string(Shards);
-    DetectOptions SO;
-    SO.DetectShards = Shards;
     // Sharding takes precedence over the async flag.
     for (bool AsyncFlag : {false, true}) {
-      Outcome Sharded = detect(&Tool, true, SO, AsyncFlag);
-      expectSameReport(Tag, Sync.R, Sharded.R);
-      EXPECT_EQ(Sharded.R.ShardLanes.size(), Shards) << Tag;
-      EXPECT_EQ(Sharded.R.ShardOrderViolations, 0u) << Tag;
-      EXPECT_GT(Sharded.Batches, 0u) << Tag;
+      DetectResult Sharded = detect(&Tool, withOracle(AsyncFlag, Shards));
+      expectSameReport(Tag, Sync, Sharded);
+      EXPECT_EQ(Sharded.ShardLanes.size(), Shards) << Tag;
+      EXPECT_EQ(Sharded.ShardOrderViolations, 0u) << Tag;
+      EXPECT_GT(Sharded.DetectorBatches, 0u) << Tag;
+      EXPECT_GT(Sharded.DetectorSeconds, 0.0) << Tag;
     }
   }
 
-  DetectOptions Unfiltered;
+  DetectOptions Unfiltered = withOracle();
   Unfiltered.CheckFilter = false;
-  Outcome Off = detect(&Tool, true, Unfiltered, false);
-  expectSameReport("filter-off", Sync.R, Off.R);
-  EXPECT_FALSE(Off.R.FilterEnabled);
+  DetectResult Off = detect(&Tool, Unfiltered);
+  expectSameReport("filter-off", Sync, Off);
+  EXPECT_FALSE(Off.FilterEnabled);
 }
 
 // The sync path is the hot one: the tool must bump the result's own
@@ -149,15 +154,14 @@ TEST(DetectionBackend, SyncToolCountsStraightIntoTheResult) {
   DetectorConfig Tool = fastTrackConfig();
   RacyStream S;
   DetectResult R;
-  DetectionBackend Backend(&Tool, false, DetectOptions(), false, 2,
-                           &S.Symbols, R);
+  DetectionBackend Backend(&Tool, DetectOptions(), &S.Symbols, R);
   ASSERT_NE(Backend.sink(), nullptr);
   feed(*Backend.sink(), S, 8);
   uint64_t Before = R.Counters.get("tool.checkEvents.field");
   EXPECT_GT(Before, 0u);
   Backend.finish();
   EXPECT_EQ(R.Counters.get("tool.checkEvents.field"), Before);
-  EXPECT_EQ(Backend.detectorSeconds(), 0.0);
+  EXPECT_EQ(R.DetectorSeconds, 0.0);
 }
 
 // A base run attaches nothing: no sink for the ring, and finish() leaves
@@ -166,29 +170,28 @@ TEST(DetectionBackend, NoDetectorsMeansNoSink) {
   for (bool Async : {false, true}) {
     DetectOptions Opts;
     Opts.DetectShards = 2;
+    Opts.AsyncDetect = Async;
     DetectResult R;
     R.Counters.bump("vm.accesses", 7);
-    DetectionBackend Backend(nullptr, false, Opts, Async, 2, nullptr, R);
+    DetectionBackend Backend(nullptr, Opts, nullptr, R);
     EXPECT_EQ(Backend.sink(), nullptr);
     Backend.finish();
     EXPECT_EQ(R.Counters.all().size(), 1u);
     EXPECT_TRUE(R.ToolRaces.empty());
     EXPECT_FALSE(R.FilterEnabled);
-    EXPECT_EQ(Backend.batches(), 0u);
+    EXPECT_EQ(R.DetectorBatches, 0u);
   }
 }
 
 // Sharding partitions the tool's locations, so an oracle-only run ignores
 // the shard count and runs the oracle unsharded (its counters discarded).
 TEST(DetectionBackend, OracleOnlyRunDoesNotShard) {
-  DetectOptions Opts;
-  Opts.DetectShards = 3;
-  Outcome O = detect(nullptr, /*Oracle=*/true, Opts, /*Async=*/false);
-  EXPECT_FALSE(O.R.GroundTruthRaces.empty());
-  EXPECT_TRUE(O.R.ToolRaces.empty());
-  EXPECT_TRUE(O.R.ShardLanes.empty());
-  EXPECT_TRUE(O.R.Counters.all().empty());
-  EXPECT_EQ(O.Batches, 0u);
+  DetectResult R = detect(nullptr, withOracle(/*Async=*/false, /*Shards=*/3));
+  EXPECT_FALSE(R.GroundTruthRaces.empty());
+  EXPECT_TRUE(R.ToolRaces.empty());
+  EXPECT_TRUE(R.ShardLanes.empty());
+  EXPECT_TRUE(R.Counters.all().empty());
+  EXPECT_EQ(R.DetectorBatches, 0u);
 }
 
 // A sharded run with the oracle attached, destroyed mid-stream without
@@ -200,12 +203,10 @@ TEST(DetectionBackend, ShardedOracleTeardownWithoutFinish) {
   DetectorConfig Tool = fastTrackConfig();
   RacyStream S;
   for (int Round = 0; Round < 12; ++Round) {
-    DetectOptions Opts;
-    Opts.DetectShards = 1 + size_t(Round) % 4;
+    DetectOptions Opts = withOracle(/*Async=*/false, 1 + size_t(Round) % 4);
+    Opts.RingBatches = 2;
     DetectResult R;
-    DetectionBackend Backend(&Tool, /*WithOracle=*/true, Opts,
-                             /*AsyncDetect=*/false, /*RingBatches=*/2,
-                             &S.Symbols, R);
+    DetectionBackend Backend(&Tool, Opts, &S.Symbols, R);
     ASSERT_NE(Backend.sink(), nullptr);
     for (int Pass = 0; Pass < 4; ++Pass)
       feed(*Backend.sink(), S, 3);
@@ -214,18 +215,17 @@ TEST(DetectionBackend, ShardedOracleTeardownWithoutFinish) {
 
 TEST(DetectionBackend, ParsesTheDetectionFlags) {
   DetectOptions Opts;
-  bool Async = false;
-  EXPECT_TRUE(parseDetectFlag("--async-detect", Opts, Async));
-  EXPECT_TRUE(Async);
-  EXPECT_TRUE(parseDetectFlag("--detect-shards=5", Opts, Async));
+  EXPECT_TRUE(parseDetectFlag("--async-detect", Opts));
+  EXPECT_TRUE(Opts.AsyncDetect);
+  EXPECT_TRUE(parseDetectFlag("--detect-shards=5", Opts));
   EXPECT_EQ(Opts.DetectShards, 5u);
-  EXPECT_TRUE(parseDetectFlag("--detect-shards=auto", Opts, Async));
+  EXPECT_TRUE(parseDetectFlag("--detect-shards=auto", Opts));
   EXPECT_EQ(Opts.DetectShards, autoShardCount());
-  EXPECT_TRUE(parseDetectFlag("--no-check-filter", Opts, Async));
+  EXPECT_TRUE(parseDetectFlag("--no-check-filter", Opts));
   EXPECT_FALSE(Opts.CheckFilter);
   // Anything else is left to the caller.
-  EXPECT_FALSE(parseDetectFlag("--seed=3", Opts, Async));
-  EXPECT_FALSE(parseDetectFlag("--detect-shard=2", Opts, Async));
+  EXPECT_FALSE(parseDetectFlag("--seed=3", Opts));
+  EXPECT_FALSE(parseDetectFlag("--detect-shard=2", Opts));
 }
 
 } // namespace

@@ -5,11 +5,12 @@
 #         -DEXPECT=<regex> -P ExpectCliError.cmake
 #
 # TRACE_RECORD=<out.bft> runs `bigfoot trace record --out=<out.bft>` instead;
-# TRACE_REPLAY=ON runs `bigfoot trace replay`, with PROGRAM the trace file.
+# TRACE=replay or TRACE=info runs `bigfoot trace replay` or `bigfoot trace
+# info`, with PROGRAM the trace file.
 if(DEFINED TRACE_RECORD)
   set(cmd ${BIGFOOT} trace record --out=${TRACE_RECORD} ${FLAG} ${PROGRAM})
-elseif(TRACE_REPLAY)
-  set(cmd ${BIGFOOT} trace replay ${FLAG} ${PROGRAM})
+elseif(DEFINED TRACE)
+  set(cmd ${BIGFOOT} trace ${TRACE} ${FLAG} ${PROGRAM})
 else()
   set(cmd ${BIGFOOT} ${FLAG} ${PROGRAM})
 endif()

@@ -53,7 +53,8 @@ options:
                   Section 3.3 extension; 0 = only at synchronization)
   --async-detect  run the detector on its own thread behind a bounded
                   batch ring (reports stay identical to sync mode; an
-                  [async] line shows the vm/detector time split)
+                  [async] line shows the vm/detector time split). Also
+                  accepted by trace record and trace replay.
   --detect-shards=N
                   fan detection out to N (at most 64) location-
                   partitioned detector workers (implies the async
@@ -75,21 +76,26 @@ trace subcommands (record once, re-analyze offline):
   bigfoot trace record --out=FILE [--tool=NAME] [run options] program.bfj
                   run with a detector attached, recording the event
                   stream to FILE; the report is identical to a plain run
-  bigfoot trace replay [--tool=NAME] FILE
+  bigfoot trace replay [--tool=NAME] [detection options] FILE
                   replay FILE into a fresh detector (default: the
                   recorded config) and print the same report the
                   recording run printed; NAME must share the recorded
                   tool's placement (fasttrack, slimstate and djit share
-                  one, redcard and slimcard another, bigfoot has its own)
+                  one, redcard and slimcard another, bigfoot has its own).
+                  Detection options: --async-detect, --detect-shards=N,
+                  --no-check-filter, --oracle, --stats; the schedule
+                  options (--seed, --quantum, --commit-interval) belong
+                  to the recording run and are rejected
   bigfoot trace info FILE
                   describe a trace: config, symbols, events, summary
+                  (takes no options)
 )";
 }
 
 std::string readFile(const char *Path);
 
 /// Applies one of the scheduler and detection flags shared by direct runs
-/// and `trace record`/`replay`; false if \p Arg is not one of them.
+/// and `trace record`; false if \p Arg is not one of them.
 bool parseVmFlag(const char *Arg, VmOptions &VmOpts) {
   if (std::strncmp(Arg, "--seed=", 7) == 0)
     VmOpts.Seed = parseNumericFlag(Arg, 0, UINT64_MAX);
@@ -99,14 +105,14 @@ bool parseVmFlag(const char *Arg, VmOptions &VmOpts) {
   else if (std::strncmp(Arg, "--commit-interval=", 18) == 0)
     VmOpts.CommitIntervalSteps = parseNumericFlag(Arg, 0, UINT64_MAX);
   else
-    return parseDetectFlag(Arg, VmOpts, VmOpts.AsyncDetect);
+    return parseDetectFlag(Arg, VmOpts);
   return true;
 }
 
 /// The post-run report shared verbatim by execution and replay — the
 /// record/replay smoke test diffs the two outputs byte for byte.
 int reportRun(const std::string &ToolName, const DetectResult &Run,
-              bool Oracle, bool DumpStats) {
+              const DetectOptions &Opts, bool DumpStats) {
   for (const std::string &Line : Run.Output)
     std::cout << Line << "\n";
   if (!Run.Ok) {
@@ -135,7 +141,7 @@ int reportRun(const std::string &ToolName, const DetectResult &Run,
     for (const ReportedRace &R : Run.ToolRaces)
       std::cerr << "[" << ToolName << "] " << R.str() << "\n";
   }
-  if (Oracle) {
+  if (Opts.EnableGroundTruth) {
     std::cerr << "[oracle] " << Run.GroundTruthRaces.size()
               << " race(s) at per-access granularity\n";
   }
@@ -171,15 +177,21 @@ void reportShards(size_t Shards, const DetectResult &Run) {
               << " ordering violation(s)\n";
 }
 
-/// Async-mode timing split on stderr, prefixed so byte-diff consumers can
-/// filter it exactly like the [trace] line. Sharded mode pipelines too,
-/// so it gets the same split plus its [shards] lane summary.
-void reportAsync(const VmOptions &Opts, const VmResult &Run) {
+/// Pipelined-mode detector stats on stderr, for runs and replays alike,
+/// prefixed so byte-diff consumers can filter it exactly like the [trace]
+/// line. A run also gives its producer (vm) seconds; a replay has no VM.
+/// Sharded mode pipelines too, so it gets the same line plus its [shards]
+/// lane summary.
+void reportAsync(const DetectOptions &Opts, const DetectResult &Run,
+                 const VmResult *Vm = nullptr) {
   if (!Opts.AsyncDetect && Opts.DetectShards == 0)
     return;
-  std::cerr << "[async] vm " << Run.VmSeconds << "s, detector "
-            << Run.DetectorSeconds << "s, " << Run.AsyncBatches
-            << " batch(es), " << Run.AsyncStalls << " stall(s)\n";
+  std::cerr << "[async] ";
+  if (Vm)
+    std::cerr << "vm " << Vm->VmSeconds << "s, ";
+  std::cerr << "detector " << Run.DetectorSeconds << "s, "
+            << Run.DetectorBatches << " batch(es), " << Run.DetectorStalls
+            << " stall(s)\n";
   reportShards(Opts.DetectShards, Run);
 }
 
@@ -197,27 +209,38 @@ int traceMain(int Argc, char **Argv) {
     return 1;
   }
   std::string Sub = Argv[2];
+  bool Record = Sub == "record", Replay = Sub == "replay";
+  if (!Record && !Replay && Sub != "info") {
+    std::cerr << "bigfoot: error: unknown trace subcommand '" << Sub
+              << "'\n";
+    return 1;
+  }
   std::string ToolName, OutPath;
-  bool Oracle = false, DumpStats = false;
+  bool DumpStats = false;
   const char *File = nullptr;
   VmOptions VmOpts;
+  // Each subcommand takes only the options it uses: a replay's schedule is
+  // the recorded one, and info only describes the file.
+  bool Detects = Record || Replay;
   for (int I = 3; I < Argc; ++I) {
     const char *Arg = Argv[I];
-    if (std::strncmp(Arg, "--tool=", 7) == 0)
-      ToolName = Arg + 7;
-    else if (std::strncmp(Arg, "--out=", 6) == 0)
-      OutPath = Arg + 6;
-    else if (std::strcmp(Arg, "--oracle") == 0)
-      Oracle = true;
-    else if (std::strcmp(Arg, "--stats") == 0)
-      DumpStats = true;
-    else if (parseVmFlag(Arg, VmOpts))
-      continue;
-    else if (Arg[0] == '-') {
-      std::cerr << "bigfoot: error: unknown trace option '" << Arg << "'\n";
-      return 1;
-    } else {
+    if (Arg[0] != '-')
       File = Arg;
+    else if (Detects && std::strncmp(Arg, "--tool=", 7) == 0)
+      ToolName = Arg + 7;
+    else if (Record && std::strncmp(Arg, "--out=", 6) == 0)
+      OutPath = Arg + 6;
+    else if (Detects && std::strcmp(Arg, "--oracle") == 0)
+      VmOpts.EnableGroundTruth = true;
+    else if (Detects && std::strcmp(Arg, "--stats") == 0)
+      DumpStats = true;
+    else if (Record ? parseVmFlag(Arg, VmOpts)
+                    : Replay && parseDetectFlag(Arg, VmOpts))
+      continue;
+    else {
+      std::cerr << "bigfoot: error: trace " << Sub
+                << " does not take option '" << Arg << "'\n";
+      return 1;
     }
   }
   if (!File) {
@@ -225,7 +248,7 @@ int traceMain(int Argc, char **Argv) {
     return 1;
   }
 
-  if (Sub == "record") {
+  if (Record) {
     if (OutPath.empty()) {
       std::cerr << "bigfoot: error: trace record needs --out=FILE\n";
       return 1;
@@ -244,7 +267,6 @@ int traceMain(int Argc, char **Argv) {
     IP.Prog->internSymbols(); // The trace header serializes the table.
     TraceWriter Writer(IP.Prog->symbols(), IP.Tool);
     VmOpts.RecordSink = &Writer;
-    VmOpts.EnableGroundTruth = Oracle;
     VmResult Run = runProgram(*IP.Prog, IP.Tool, VmOpts);
     Writer.finish(Run.traceSummary());
     if (!Writer.writeFile(OutPath)) {
@@ -254,11 +276,11 @@ int traceMain(int Argc, char **Argv) {
     }
     std::cerr << "[trace] wrote " << Writer.buffer().size() << " bytes to "
               << OutPath << "\n";
-    reportAsync(VmOpts, Run);
-    return reportRun(ToolName, Run, Oracle, DumpStats);
+    reportAsync(VmOpts, Run, &Run);
+    return reportRun(ToolName, Run, VmOpts, DumpStats);
   }
 
-  if (Sub == "replay") {
+  if (Replay) {
     TraceReader Reader;
     if (!Reader.openFile(File)) {
       std::cerr << "bigfoot: " << File << ": " << Reader.error() << "\n";
@@ -280,50 +302,43 @@ int traceMain(int Argc, char **Argv) {
       }
       Cfg = Tool->Config(Cfg.FieldProxy);
     }
-    ReplayOptions ROpts;
-    ROpts.EnableGroundTruth = Oracle;
-    static_cast<DetectOptions &>(ROpts) = VmOpts;
-    ReplayResult Run = replayTrace(Reader, Cfg, ROpts);
-    reportShards(ROpts.DetectShards, Run);
-    return reportRun(Cfg.Name, Run, Oracle, DumpStats);
+    ReplayResult Run = replayTrace(Reader, Cfg, VmOpts);
+    reportAsync(VmOpts, Run);
+    return reportRun(Cfg.Name, Run, VmOpts, DumpStats);
   }
 
-  if (Sub == "info") {
-    TraceReader Reader;
-    if (!Reader.openFile(File)) {
-      std::cerr << "bigfoot: " << File << ": " << Reader.error() << "\n";
-      return 1;
-    }
-    // Drain the stream to count events and reach the summary.
-    std::vector<Event> Buf(kDefaultEventBatch);
-    std::vector<uint32_t> Payload;
-    while (Reader.nextBatch(Buf.data(), Buf.size(), Payload) > 0)
-      ;
-    if (!Reader.ok()) {
-      std::cerr << "bigfoot: " << File << ": " << Reader.error() << "\n";
-      return 1;
-    }
-    const DetectorConfig &C = Reader.config();
-    std::cout << "trace: " << File << "\n"
-              << "  config: " << C.Name
-              << (C.DeferArrayChecks ? " +defer" : "")
-              << (C.AdaptiveArrayShadow ? " +adaptive" : "")
-              << (C.VectorClocksOnly ? " +vconly" : "") << ", "
-              << C.FieldProxy.size() << " proxied field(s)\n"
-              << "  symbols: " << Reader.symbols().size() << "\n"
-              << "  events: " << Reader.eventsDecoded() << "\n";
-    if (Reader.summaryReady()) {
-      const TraceSummary &S = Reader.summary();
-      std::cout << "  run: " << (S.Ok ? "ok" : ("error: " + S.Error)) << ", "
-                << S.StatementsExecuted << " statements, "
-                << S.Output.size() << " output line(s), "
-                << S.Counters.size() << " counter(s)\n";
-    }
-    return 0;
+  // trace info
+  TraceReader Reader;
+  if (!Reader.openFile(File)) {
+    std::cerr << "bigfoot: " << File << ": " << Reader.error() << "\n";
+    return 1;
   }
-
-  std::cerr << "bigfoot: error: unknown trace subcommand '" << Sub << "'\n";
-  return 1;
+  // Drain the stream to count events and reach the summary.
+  std::vector<Event> Buf(kDefaultEventBatch);
+  std::vector<uint32_t> Payload;
+  while (Reader.nextBatch(Buf.data(), Buf.size(), Payload) > 0)
+    ;
+  if (!Reader.ok()) {
+    std::cerr << "bigfoot: " << File << ": " << Reader.error() << "\n";
+    return 1;
+  }
+  const DetectorConfig &C = Reader.config();
+  std::cout << "trace: " << File << "\n"
+            << "  config: " << C.Name
+            << (C.DeferArrayChecks ? " +defer" : "")
+            << (C.AdaptiveArrayShadow ? " +adaptive" : "")
+            << (C.VectorClocksOnly ? " +vconly" : "") << ", "
+            << C.FieldProxy.size() << " proxied field(s)\n"
+            << "  symbols: " << Reader.symbols().size() << "\n"
+            << "  events: " << Reader.eventsDecoded() << "\n";
+  if (Reader.summaryReady()) {
+    const TraceSummary &S = Reader.summary();
+    std::cout << "  run: " << (S.Ok ? "ok" : ("error: " + S.Error)) << ", "
+              << S.StatementsExecuted << " statements, "
+              << S.Output.size() << " output line(s), "
+              << S.Counters.size() << " counter(s)\n";
+  }
+  return 0;
 }
 
 std::string readFile(const char *Path) {
@@ -344,7 +359,7 @@ int main(int Argc, char **Argv) {
     return traceMain(Argc, Argv);
 
   std::string ToolName = "bigfoot";
-  bool PrintOnly = false, Contexts = false, Oracle = false, DumpStats = false;
+  bool PrintOnly = false, Contexts = false, DumpStats = false;
   const char *File = nullptr;
   VmOptions VmOpts;
 
@@ -357,7 +372,7 @@ int main(int Argc, char **Argv) {
     else if (std::strcmp(Arg, "--contexts") == 0)
       Contexts = true;
     else if (std::strcmp(Arg, "--oracle") == 0)
-      Oracle = true;
+      VmOpts.EnableGroundTruth = true;
     else if (std::strcmp(Arg, "--stats") == 0)
       DumpStats = true;
     else if (parseVmFlag(Arg, VmOpts))
@@ -396,7 +411,6 @@ int main(int Argc, char **Argv) {
   }
 
   if (ToolName == "none") {
-    VmOpts.EnableGroundTruth = Oracle;
     VmResult Run = runProgramBase(*PR.Prog, VmOpts);
     for (const std::string &Line : Run.Output)
       std::cout << Line << "\n";
@@ -417,8 +431,7 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  VmOpts.EnableGroundTruth = Oracle;
   VmResult Run = runProgram(*IP.Prog, IP.Tool, VmOpts);
-  reportAsync(VmOpts, Run);
-  return reportRun(ToolName, Run, Oracle, DumpStats);
+  reportAsync(VmOpts, Run, &Run);
+  return reportRun(ToolName, Run, VmOpts, DumpStats);
 }
