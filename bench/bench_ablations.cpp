@@ -50,7 +50,8 @@ std::vector<Variant> variants() {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchArgs Args = parseBenchArgs(Argc, Argv);
+  constexpr std::string_view Takes[] = {"--small", "--iters", "--seed"};
+  BenchArgs Args = parseBenchArgs(Argc, Argv, Takes);
   // Representative workloads: structured arrays, field groups, triangular,
   // sync-heavy, irregular.
   const char *Names[] = {"crypt", "raytracer", "lufact", "tomcat",

@@ -274,7 +274,9 @@ double geomeanOf(const std::vector<double> &Vals) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchArgs Args = parseBenchArgs(Argc, Argv);
+  constexpr std::string_view Takes[] = {"--small", "--iters", "--seed",
+                                        "--workload"};
+  BenchArgs Args = parseBenchArgs(Argc, Argv, Takes);
 
   std::vector<WorkloadRow> Rows;
   for (const Workload &W : standardSuite(Args.Scale))

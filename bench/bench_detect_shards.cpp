@@ -172,7 +172,8 @@ double geomeanOf(const std::vector<double> &Vals) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchArgs Args = parseBenchArgs(Argc, Argv);
+  constexpr std::string_view Takes[] = {"--small", "--iters", "--seed"};
+  BenchArgs Args = parseBenchArgs(Argc, Argv, Takes);
   unsigned Cores = std::thread::hardware_concurrency();
 
   std::vector<ShardRow> Rows;

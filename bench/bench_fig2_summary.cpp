@@ -17,7 +17,7 @@
 using namespace bigfoot;
 
 int main(int Argc, char **Argv) {
-  BenchArgs Args = parseBenchArgs(Argc, Argv);
+  BenchArgs Args = parseBenchArgs(Argc, Argv, kSuiteBenchOptions);
   std::vector<ExperimentResult> Results = runSuite(Args.Scale, Args.Opts);
 
   // The paper's five tools plus DJIT+ as an extra historical baseline

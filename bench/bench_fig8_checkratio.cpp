@@ -16,7 +16,7 @@
 using namespace bigfoot;
 
 int main(int Argc, char **Argv) {
-  BenchArgs Args = parseBenchArgs(Argc, Argv);
+  BenchArgs Args = parseBenchArgs(Argc, Argv, kSuiteBenchOptions);
   std::vector<ExperimentResult> Results = runSuite(Args.Scale, Args.Opts);
 
   TablePrinter Table("Figure 8: check ratios and relative overhead");

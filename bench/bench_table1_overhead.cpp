@@ -18,7 +18,7 @@
 using namespace bigfoot;
 
 int main(int Argc, char **Argv) {
-  BenchArgs Args = parseBenchArgs(Argc, Argv);
+  BenchArgs Args = parseBenchArgs(Argc, Argv, kSuiteBenchOptions);
   std::vector<ExperimentResult> Results = runSuite(Args.Scale, Args.Opts);
 
   TablePrinter Table("Table 1: checker performance");

@@ -12,6 +12,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <set>
 
@@ -54,11 +55,38 @@ public:
   /// Emits the per-statement contexts; call after statement renumbering.
   void recordTraceFor(const Stmt *Body) { recordTrace(Body); }
 
+  /// Removes the checks a run() that did not finish inserted into \p S,
+  /// and takes them off the placement totals.
+  void undo(Stmt *S) {
+    if (auto *Block = dyn_cast<BlockStmt>(S)) {
+      auto &Stmts = Block->stmts();
+      auto Undone = [this](const StmtPtr &Child) {
+        if (!Inserted.count(Child.get()))
+          return false;
+        Stats.ChecksInserted--;
+        Stats.PathsInserted -= static_cast<unsigned>(
+            cast<CheckStmt>(Child.get())->paths().size());
+        return true;
+      };
+      Stmts.erase(std::remove_if(Stmts.begin(), Stmts.end(), Undone),
+                  Stmts.end());
+      for (StmtPtr &Child : Stmts)
+        undo(Child.get());
+    } else if (auto *If = dyn_cast<IfStmt>(S)) {
+      undo(If->thenStmt());
+      undo(If->elseStmt());
+    } else if (auto *Loop = dyn_cast<LoopStmt>(S)) {
+      undo(Loop->preBody());
+      undo(Loop->postBody());
+    }
+  }
+
 private:
   const Program &Prog;
   const KillSets &Kills;
   const PlacementOptions &Opts;
   PlacementStats &Stats;
+  std::set<const Stmt *> Inserted; ///< The check statements run() added.
 
   std::map<const Stmt *, History> PreH, PostH;   // Pass 1 annotations.
   std::map<const Stmt *, Anticipated> PreA, PostA; // Pass 2 annotations.
@@ -699,6 +727,7 @@ private:
     Stats.ChecksInserted++;
     Stats.PathsInserted += static_cast<unsigned>(Final.size());
     auto Check = std::make_unique<CheckStmt>(std::move(Final));
+    Inserted.insert(Check.get());
     if (Opts.TraceContexts) {
       History After = H;
       for (const Path &P : C)
@@ -816,6 +845,65 @@ private:
 
 } // namespace
 
+std::optional<Path> bigfoot::pathForAccess(const Stmt *S) {
+  switch (S->kind()) {
+  case StmtKind::FieldRead: {
+    const auto *F = cast<FieldReadStmt>(S);
+    return Path::field(AccessKind::Read, F->object(), F->field());
+  }
+  case StmtKind::FieldWrite: {
+    const auto *F = cast<FieldWriteStmt>(S);
+    return Path::field(AccessKind::Write, F->object(), F->field());
+  }
+  case StmtKind::ArrayRead: {
+    const auto *A = cast<ArrayReadStmt>(S);
+    std::optional<AffineExpr> Idx = toAffine(A->index());
+    assert(Idx && "validated programs have affine indices");
+    return Path::arrayIndex(AccessKind::Read, A->array(), *Idx);
+  }
+  case StmtKind::ArrayWrite: {
+    const auto *A = cast<ArrayWriteStmt>(S);
+    std::optional<AffineExpr> Idx = toAffine(A->index());
+    assert(Idx && "validated programs have affine indices");
+    return Path::arrayIndex(AccessKind::Write, A->array(), *Idx);
+  }
+  default:
+    return std::nullopt;
+  }
+}
+
+unsigned bigfoot::insertPerAccessChecks(const Program &P, Stmt *S) {
+  unsigned Checks = 0;
+  if (auto *Block = dyn_cast<BlockStmt>(S)) {
+    auto &Stmts = Block->stmts();
+    for (size_t I = 0; I < Stmts.size(); ++I) {
+      Stmt *Child = Stmts[I].get();
+      if (isa<BlockStmt>(Child) || isa<IfStmt>(Child) ||
+          isa<LoopStmt>(Child)) {
+        Checks += insertPerAccessChecks(P, Child);
+        continue;
+      }
+      std::optional<Path> Pth = pathForAccess(Child);
+      if (!Pth)
+        continue;
+      // Volatile accesses are synchronization, never checked.
+      if (Pth->isField() && P.isFieldVolatileAnywhere(Pth->Fields[0]))
+        continue;
+      Stmts.insert(Stmts.begin() + static_cast<ptrdiff_t>(I),
+                   std::make_unique<CheckStmt>(std::vector<Path>{*Pth}));
+      ++I;
+      ++Checks;
+    }
+  } else if (auto *If = dyn_cast<IfStmt>(S)) {
+    Checks += insertPerAccessChecks(P, If->thenStmt());
+    Checks += insertPerAccessChecks(P, If->elseStmt());
+  } else if (auto *Loop = dyn_cast<LoopStmt>(S)) {
+    Checks += insertPerAccessChecks(P, Loop->preBody());
+    Checks += insertPerAccessChecks(P, Loop->postBody());
+  }
+  return Checks;
+}
+
 PlacementStats bigfoot::placeBigFootChecks(Program &P,
                                            const PlacementOptions &Opts) {
   PlacementStats Stats;
@@ -829,11 +917,29 @@ PlacementStats bigfoot::placeBigFootChecks(Program &P,
       Tracers;
   auto RunBody = [&](StmtPtr &Body) {
     auto Analyzer = std::make_unique<BodyAnalyzer>(P, Kills, Opts, Stats);
-    Analyzer->run(Body);
-    if (Opts.TraceContexts)
-      Tracers.emplace_back(std::move(Analyzer), Body.get());
-    else
+    bool Placed = true;
+    {
+      EntailmentBudget Budget(kEntailmentBudgetPerBody);
+      try {
+        Analyzer->run(Body);
+      } catch (const EntailmentBudget::Exhausted &) {
+        Placed = false;
+      }
+      Stats.MaxBodyQueries = std::max(Stats.MaxBodyQueries, Budget.queries());
+    }
+    if (!Placed) {
+      Analyzer->undo(Body.get());
+      unsigned Checks = insertPerAccessChecks(P, Body.get());
+      Stats.ChecksInserted += Checks;
+      Stats.PathsInserted += Checks;
+      Stats.BodiesOverBudget++;
+    }
+    if (Opts.TraceContexts) {
+      if (Placed)
+        Tracers.emplace_back(std::move(Analyzer), Body.get());
+    } else {
       Stats.RenamesInserted -= cleanupRenames(Body);
+    }
     Stats.MethodsProcessed++;
   };
   for (auto &C : P.Classes)

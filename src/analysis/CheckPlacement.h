@@ -31,7 +31,9 @@
 #include "analysis/KillSets.h"
 #include "bfj/Program.h"
 
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 namespace bigfoot {
@@ -52,12 +54,23 @@ struct PlacementOptions {
   SyncModel Sync;
 };
 
+/// The most entailment queries (H ⊢ h and H•A ⊢ a; see EntailmentBudget)
+/// placement spends on one method or thread body. A body that needs more
+/// falls back to per-access checks, the FastTrack placement, which is
+/// sound. Query counts grow exponentially with loop nesting; the largest
+/// body of the benchmark suite asks 3,278, far below this.
+inline constexpr uint64_t kEntailmentBudgetPerBody = 50000;
+
 /// Result metadata for one placement run.
 struct PlacementStats {
   unsigned MethodsProcessed = 0;
   unsigned RenamesInserted = 0;
   unsigned ChecksInserted = 0; ///< check(C) statements materialized.
   unsigned PathsInserted = 0;  ///< total paths across all checks.
+  /// Bodies that ran out of entailment budget and got per-access checks.
+  unsigned BodiesOverBudget = 0;
+  /// The most entailment queries any one body asked.
+  uint64_t MaxBodyQueries = 0;
   double AnalysisSeconds = 0;  ///< wall-clock analysis time, all bodies.
   /// When TraceContexts: statement id -> "H • A" context *after* that
   /// statement (as in Figures 3 and 6).
@@ -66,10 +79,19 @@ struct PlacementStats {
 
 /// Runs the full BigFoot placement over every method and thread body of
 /// \p P, inserting renames and check statements in place. \p P should be
-/// a clone of the original program.
+/// a clone of the original program. A body whose analysis would ask more
+/// than kEntailmentBudgetPerBody queries gets per-access checks instead.
 PlacementStats placeBigFootChecks(Program &P,
                                   const PlacementOptions &Opts =
                                       PlacementOptions());
+
+/// The check path of one access statement, or nullopt for a statement
+/// that accesses no heap location.
+std::optional<Path> pathForAccess(const Stmt *S);
+
+/// The FastTrack placement of one body: a check immediately before every
+/// non-volatile heap access. Returns the number of checks inserted.
+unsigned insertPerAccessChecks(const Program &P, Stmt *Body);
 
 } // namespace bigfoot
 

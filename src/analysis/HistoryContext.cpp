@@ -152,6 +152,26 @@ void History::addCheck(const Path &P) {
 // Entailment.
 //===----------------------------------------------------------------------===
 
+namespace {
+/// The innermost live EntailmentBudget of this thread, if any.
+thread_local EntailmentBudget *ActiveBudget = nullptr;
+} // namespace
+
+EntailmentBudget::EntailmentBudget(uint64_t Limit)
+    : Outer(ActiveBudget), Limit(Limit) {
+  ActiveBudget = this;
+}
+
+EntailmentBudget::~EntailmentBudget() { ActiveBudget = Outer; }
+
+void EntailmentBudget::charge() {
+  if (!ActiveBudget)
+    return;
+  if (ActiveBudget->Queries >= ActiveBudget->Limit)
+    throw Exhausted{};
+  ++ActiveBudget->Queries;
+}
+
 ConstraintSystem History::constraints() const {
   ConstraintSystem CS;
   for (const BoolFact &Fact : Bools) {
@@ -183,6 +203,7 @@ ConstraintSystem History::constraints() const {
 }
 
 bool History::entailsBool(const BoolFact &Fact, ConstraintSystem &CS) const {
+  EntailmentBudget::charge();
   for (const BoolFact &Existing : Bools)
     if (Existing == Fact)
       return true;
@@ -201,14 +222,14 @@ bool History::entailsBool(const BoolFact &Fact, ConstraintSystem &CS) const {
   return false;
 }
 
-bool History::entailsAlias(const AliasFact &Fact,
-                           const ConstraintSystem &Base) const {
+bool History::entailsAlias(const AliasFact &Fact, ConstraintSystem &CS) const {
+  EntailmentBudget::charge();
   for (const AliasFact &Existing : Aliases)
     if (Existing == Fact)
       return true;
   // Query "x = y.f" holds iff x is congruent to a fresh variable aliased
   // to y.f under the existing facts.
-  ConstraintSystem CS = Base;
+  ConstraintSystem::Scope ProbeScope(CS);
   const std::string Probe = "$probe";
   if (Fact.IsArray)
     CS.addArrayAlias(Probe, Fact.Base, Fact.Index);
@@ -309,15 +330,18 @@ bool History::entailsPathIn(const std::vector<Path> &Facts, const Path &P,
 }
 
 bool History::entailsAccess(const Path &P, ConstraintSystem &CS) const {
+  EntailmentBudget::charge();
   return entailsPathIn(Accesses, P, CS);
 }
 
 bool History::entailsCheck(const Path &P, ConstraintSystem &CS) const {
+  EntailmentBudget::charge();
   return entailsPathIn(Checks, P, CS);
 }
 
 bool History::entailsAnticipated(const Anticipated &A, const Path &P,
                                  ConstraintSystem &CS) const {
+  EntailmentBudget::charge();
   return entailsPathIn(A, P, CS);
 }
 

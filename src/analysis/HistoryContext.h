@@ -25,6 +25,7 @@
 #include "entail/ConstraintSystem.h"
 #include "support/AffineExpr.h"
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -64,6 +65,31 @@ struct AliasFact {
   }
 
   std::string str() const;
+};
+
+/// While alive, allows this thread at most Limit entailment queries (the
+/// History::entails* calls, H ⊢ h and H•A ⊢ a): the query past the limit
+/// throws Exhausted before it does any work. This bounds an analysis
+/// whose query count can grow exponentially, such as StaticBF over deeply
+/// nested loops. Budgets nest; the innermost one counts.
+class EntailmentBudget {
+public:
+  struct Exhausted {};
+
+  explicit EntailmentBudget(uint64_t Limit);
+  ~EntailmentBudget();
+  EntailmentBudget(const EntailmentBudget &) = delete;
+  EntailmentBudget &operator=(const EntailmentBudget &) = delete;
+
+  uint64_t queries() const { return Queries; }
+
+  /// Charges one query to this thread's innermost budget, if any.
+  static void charge();
+
+private:
+  EntailmentBudget *Outer;
+  uint64_t Limit;
+  uint64_t Queries = 0;
 };
 
 /// True if Fact's access kind satisfies a query of kind \p Query (W ≥ R).
@@ -109,8 +135,8 @@ public:
   /// H•A ⊢ p✸.
   bool entailsAnticipated(const Anticipated &A, const Path &P,
                           ConstraintSystem &CS) const;
-  /// Works on a copy of \p CS, to which it adds a probe alias.
-  bool entailsAlias(const AliasFact &Fact, const ConstraintSystem &CS) const;
+  /// Adds a probe alias to \p CS inside a scope that it pops again.
+  bool entailsAlias(const AliasFact &Fact, ConstraintSystem &CS) const;
 
   /// H1 ⊑ H2 : every fact of *this is entailed by \p Stronger.
   bool subsumedBy(const History &Stronger) const;

@@ -20,8 +20,31 @@ namespace {
 constexpr size_t MaxRows = 4096;
 constexpr int64_t MaxCoeff = int64_t(1) << 48;
 
+/// The prefix of the names that stand for integer constants in the
+/// congruence closure.
+constexpr char ConstPrefix[] = "#const:";
+constexpr size_t ConstPrefixLen = sizeof(ConstPrefix) - 1;
+
 /// The innermost live EntailmentProfile of this thread, if any.
 thread_local EntailmentProfile *ActiveProfile = nullptr;
+
+bool overCap(__int128 V) { return V > MaxCoeff || V < -MaxCoeff; }
+
+/// Terms + C <= 0 over integers, divided through by the gcd G of the
+/// coefficients: Terms/G <= floor(-C/G).
+template <typename TermT>
+void tighten(TermT *B, TermT *E, int64_t &Constant) {
+  int64_t G = 0;
+  for (TermT *T = B; T != E; ++T)
+    G = std::gcd(G, T->Coeff < 0 ? -T->Coeff : T->Coeff);
+  if (G <= 1)
+    return;
+  for (TermT *T = B; T != E; ++T)
+    T->Coeff /= G;
+  int64_t NegC = -Constant;
+  int64_t Floored = NegC >= 0 ? NegC / G : -((-NegC + G - 1) / G);
+  Constant = -Floored;
+}
 } // namespace
 
 EntailmentProfile::EntailmentProfile() : Outer(ActiveProfile) {
@@ -52,85 +75,638 @@ private:
   std::chrono::steady_clock::time_point Start;
 };
 
+size_t ConstraintSystem::CanonKeyHash::operator()(
+    const std::vector<int64_t> &Key) const {
+  uint64_t H = 0x9e3779b97f4a7c15ULL;
+  for (int64_t W : Key) {
+    H ^= static_cast<uint64_t>(W);
+    H *= 0xff51afd7ed558ccdULL;
+    H ^= H >> 32;
+  }
+  return static_cast<size_t>(H);
+}
+
+//===----------------------------------------------------------------------===
+// Interned names.
+//===----------------------------------------------------------------------===
+
+uint32_t ConstraintSystem::intern(const std::string &Name) {
+  auto It = std::lower_bound(
+      ByName.begin(), ByName.end(), Name,
+      [this](uint32_t Id, const std::string &N) { return Names[Id] < N; });
+  if (It != ByName.end() && Names[*It] == Name)
+    return *It;
+  uint32_t Id = static_cast<uint32_t>(Names.size());
+  size_t Pos = static_cast<size_t>(It - ByName.begin());
+  Names.push_back(Name);
+  ByName.insert(It, Id);
+  Rank.push_back(0);
+  for (size_t I = Pos; I < ByName.size(); ++I)
+    Rank[ByName[I]] = static_cast<uint32_t>(I);
+  ConstOf.push_back(
+      Name.compare(0, ConstPrefixLen, ConstPrefix) == 0
+          ? std::optional<int64_t>(std::stoll(Name.substr(ConstPrefixLen)))
+          : std::nullopt);
+  // A new name is its own class until the next closure rebuild.
+  Parent.push_back(Id);
+  Rep.push_back(Id);
+  return Id;
+}
+
+//===----------------------------------------------------------------------===
+// Facts.
+//===----------------------------------------------------------------------===
+
+void ConstraintSystem::normalize(std::vector<Term> &Terms) {
+  std::sort(Terms.begin(), Terms.end(),
+            [](const Term &A, const Term &B) { return A.Var < B.Var; });
+  size_t N = 0;
+  for (const Term &T : Terms) {
+    if (N > 0 && Terms[N - 1].Var == T.Var) {
+      if ((Terms[N - 1].Coeff += T.Coeff) == 0)
+        --N;
+    } else {
+      Terms[N++] = T;
+    }
+  }
+  Terms.resize(N);
+}
+
+void ConstraintSystem::addRawRow(RowSet &Out, const AffineExpr &L,
+                                 const AffineExpr &R, int64_t Shift) {
+  std::vector<Term> &Raw = Work.Diff.Terms;
+  Raw.clear();
+  for (const auto &[Name, Coeff] : L.terms())
+    Raw.push_back({intern(Name), Coeff});
+  for (const auto &[Name, Coeff] : R.terms())
+    Raw.push_back({intern(Name), -Coeff});
+  normalize(Raw);
+  size_t Begin = Out.Terms.size();
+  Out.Terms.insert(Out.Terms.end(), Raw.begin(), Raw.end());
+  Out.close(Begin, L.constantPart() - R.constantPart() + Shift);
+}
+
 void ConstraintSystem::invalidate() {
-  BaseRows.reset();
-  Inconsistent.reset();
-  LeVerdicts.clear();
+  if (!Scopes.empty() && Scopes.back().Shared) {
+    Scopes.back().Saved = std::move(Cache);
+    Scopes.back().Shared = false;
+  }
+  Cache = Derived();
 }
 
 void ConstraintSystem::addEquality(const AffineExpr &L, const AffineExpr &R) {
-  Equalities.emplace_back(L, R);
+  addRawRow(Equalities, L, R, 0);
   ClosureDirty = true;
   invalidate();
 }
 
 void ConstraintSystem::addLe(const AffineExpr &L, const AffineExpr &R) {
-  LeFacts.emplace_back(L, R);
+  addRawRow(LeFacts, L, R, 0);
   invalidate();
 }
 
-void ConstraintSystem::addNe(const AffineExpr &L, const AffineExpr &R) {
-  NeFacts.emplace_back(L, R);
+void ConstraintSystem::addLt(const AffineExpr &L, const AffineExpr &R) {
+  addRawRow(LeFacts, L, R, 1);
   invalidate();
+}
+
+// Disequalities and congruences feed neither the closure nor the rows, so
+// they leave every cache valid.
+void ConstraintSystem::addNe(const AffineExpr &L, const AffineExpr &R) {
+  addRawRow(NeFacts, L, R, 0);
 }
 
 void ConstraintSystem::addCongruence(const AffineExpr &E, int64_t M,
                                      int64_t R) {
   assert(M >= 1 && "modulus must be positive");
-  CongFact F;
-  F.E = E;
-  F.Mod = M;
-  F.Rem = ((R % M) + M) % M;
-  CongFacts.push_back(std::move(F));
+  addRawRow(CongFacts, E, AffineExpr(), 0);
+  CongMods.push_back({M, ((R % M) + M) % M});
+}
+
+void ConstraintSystem::addFieldAlias(const std::string &X,
+                                     const std::string &Y,
+                                     const std::string &F) {
+  Aliases.push_back({intern(X), intern(Y), false, F, AffineExpr()});
+  ClosureDirty = true;
   invalidate();
 }
 
-bool ConstraintSystem::proveCongruent(const AffineExpr &E, int64_t M,
-                                      int64_t R) {
-  QueryClock Clock;
-  assert(M >= 1 && "modulus must be positive");
-  if (M == 1)
-    return true;
-  int64_t Want = ((R % M) + M) % M;
-  AffineExpr Cur = canonicalize(E);
+void ConstraintSystem::addArrayAlias(const std::string &X,
+                                     const std::string &Y,
+                                     const AffineExpr &Index) {
+  Aliases.push_back({intern(X), intern(Y), true, std::string(), Index});
+  ClosureDirty = true;
+  invalidate();
+}
 
-  auto Done = [M, Want](const AffineExpr &X) -> std::optional<bool> {
-    for (const auto &[Name, Coeff] : X.terms())
-      if (Coeff % M != 0)
+//===----------------------------------------------------------------------===
+// Scopes.
+//===----------------------------------------------------------------------===
+
+void ConstraintSystem::pushScope() {
+  rebuildClosure();
+  ScopeFrame F;
+  F.NumEq = Equalities.Rows.size();
+  F.NumLe = LeFacts.Rows.size();
+  F.NumNe = NeFacts.Rows.size();
+  F.NumCong = CongFacts.Rows.size();
+  F.NumAliases = Aliases.size();
+  F.Rep = Rep;
+  Scopes.push_back(std::move(F));
+}
+
+void ConstraintSystem::popScope() {
+  assert(!Scopes.empty() && "popScope without pushScope");
+  ScopeFrame &F = Scopes.back();
+  auto Truncate = [](RowSet &S, size_t N) {
+    if (N < S.Rows.size()) {
+      S.Terms.resize(S.Rows[N].Begin);
+      S.Rows.resize(N);
+    }
+  };
+  Truncate(Equalities, F.NumEq);
+  Truncate(LeFacts, F.NumLe);
+  Truncate(NeFacts, F.NumNe);
+  Truncate(CongFacts, F.NumCong);
+  CongMods.resize(F.NumCong);
+  Aliases.resize(F.NumAliases);
+  // Names interned inside the scope stay interned, as singleton classes.
+  Rep = std::move(F.Rep);
+  for (uint32_t Id = static_cast<uint32_t>(Rep.size()); Id < Names.size();
+       ++Id)
+    Rep.push_back(Id);
+  Parent = Rep;
+  ClosureDirty = false;
+  if (!F.Shared)
+    Cache = std::move(F.Saved);
+  Scopes.pop_back();
+}
+
+//===----------------------------------------------------------------------===
+// Congruence closure.
+//===----------------------------------------------------------------------===
+
+uint32_t ConstraintSystem::find(uint32_t Id) {
+  uint32_t Root = Id;
+  while (Parent[Root] != Root)
+    Root = Parent[Root];
+  while (Parent[Id] != Root) {
+    uint32_t Next = Parent[Id];
+    Parent[Id] = Root;
+    Id = Next;
+  }
+  return Root;
+}
+
+void ConstraintSystem::unite(uint32_t A, uint32_t B) {
+  uint32_t RA = find(A);
+  uint32_t RB = find(B);
+  if (RA == RB)
+    return;
+  // Deterministic representative: the lexicographically smaller root, so
+  // canonicalization does not depend on insertion order.
+  if (Rank[RB] < Rank[RA])
+    std::swap(RA, RB);
+  Parent[RB] = RA;
+}
+
+void ConstraintSystem::rebuildClosure() {
+  if (!ClosureDirty)
+    return;
+  std::iota(Parent.begin(), Parent.end(), 0u);
+  // Seed with syntactic var=var and var=const equalities.
+  for (const RowSet::Row &R : Equalities.Rows) {
+    const Term *T = Equalities.begin(R);
+    if (R.Size == 2 && R.Constant == 0) {
+      if (T[0].Coeff + T[1].Coeff == 0 &&
+          (T[0].Coeff == 1 || T[0].Coeff == -1))
+        unite(T[0].Var, T[1].Var);
+    } else if (R.Size == 1 && (T[0].Coeff == 1 || T[0].Coeff == -1)) {
+      int64_t Value = -R.Constant / T[0].Coeff;
+      uint32_t Var = T[0].Var;
+      unite(Var, intern(ConstPrefix + std::to_string(Value)));
+    }
+  }
+  // Congruence over alias terms: iterate to a fixed point because keys
+  // mention representatives.
+  for (int Round = 0; Round < 8; ++Round) {
+    bool Changed = false;
+    for (const AliasFact &A : Aliases) {
+      std::string Key;
+      if (A.IsArray) {
+        // Canonicalize the index through current representatives.
+        AffineExpr Idx = A.Index;
+        for (const std::string &V : A.Index.variables())
+          Idx = Idx.substitute(V,
+                               AffineExpr::variable(Names[find(intern(V))]));
+        Key = "a#" + Names[find(A.Base)] + "#" + Idx.str();
+      } else {
+        Key = "f#" + A.Field + "#" + Names[find(A.Base)];
+      }
+      uint32_t RK = find(intern(Key));
+      uint32_t RX = find(A.X);
+      if (RX != RK) {
+        unite(RX, RK);
+        Changed = true;
+      }
+    }
+    if (!Changed)
+      break;
+  }
+  for (uint32_t Id = 0; Id < Names.size(); ++Id)
+    Rep[Id] = find(Id);
+  ClosureDirty = false;
+
+  // A scope that only added aliases shares its enclosing scope's caches
+  // again once the closure shows that no earlier name changed class.
+  if (!Scopes.empty()) {
+    ScopeFrame &F = Scopes.back();
+    if (!F.Shared && Equalities.Rows.size() == F.NumEq &&
+        LeFacts.Rows.size() == F.NumLe &&
+        std::equal(F.Rep.begin(), F.Rep.end(), Rep.begin())) {
+      Cache = std::move(F.Saved);
+      F.Saved = Derived();
+      F.Shared = true;
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===
+// Canonical rows.
+//===----------------------------------------------------------------------===
+
+void ConstraintSystem::canonicalize(const Term *B, const Term *E,
+                                    int64_t Constant, Linear &Out) {
+  Out.Terms.clear();
+  for (const Term *T = B; T != E; ++T) {
+    uint32_t R = Rep[T->Var];
+    // Constants fold back into the constant part.
+    if (const std::optional<int64_t> &Value = ConstOf[R])
+      Constant += T->Coeff * *Value;
+    else
+      Out.Terms.push_back({R, T->Coeff});
+  }
+  normalize(Out.Terms);
+  Out.Constant = Constant;
+}
+
+void ConstraintSystem::canonicalDiff(const AffineExpr &L, const AffineExpr &R,
+                                     int64_t Shift, Linear &Out) {
+  rebuildClosure();
+  std::vector<Term> &Raw = Work.Other.Terms;
+  Raw.clear();
+  for (const auto &[Name, Coeff] : L.terms())
+    Raw.push_back({intern(Name), Coeff});
+  for (const auto &[Name, Coeff] : R.terms())
+    Raw.push_back({intern(Name), -Coeff});
+  canonicalize(Raw.data(), Raw.data() + Raw.size(),
+               L.constantPart() - R.constantPart() + Shift, Out);
+}
+
+const ConstraintSystem::RowSet &ConstraintSystem::baseRows() {
+  rebuildClosure();
+  if (Cache.HaveBase)
+    return Cache.Base;
+  RowSet &Rows = Cache.Base;
+  Rows.clear();
+  Linear &Row = Work.Other;
+  // Rows are stored tightened: refute() tightens every row it starts
+  // from, and tightening a tightened row changes nothing.
+  auto Append = [&Rows](const Linear &Src, int64_t Sign) {
+    size_t Begin = Rows.Terms.size();
+    for (const Term &T : Src.Terms)
+      Rows.Terms.push_back({T.Var, T.Coeff * Sign});
+    Rows.close(Begin, Src.Constant * Sign);
+    tighten(Rows.Terms.data() + Begin, Rows.Terms.data() + Rows.Terms.size(),
+            Rows.Rows.back().Constant);
+  };
+  for (const RowSet::Row &R : Equalities.Rows) {
+    canonicalize(Equalities.begin(R), Equalities.end(R), R.Constant, Row);
+    Append(Row, 1);
+    Append(Row, -1);
+  }
+  for (const RowSet::Row &R : LeFacts.Rows) {
+    canonicalize(LeFacts.begin(R), LeFacts.end(R), R.Constant, Row);
+    Append(Row, 1);
+  }
+  Cache.HaveBase = true;
+  ++RowBuilds;
+  return Rows;
+}
+
+//===----------------------------------------------------------------------===
+// Fourier-Motzkin.
+//===----------------------------------------------------------------------===
+
+bool ConstraintSystem::combine(const RowSet &Rows, const RowSet::Row &P,
+                               int64_t CN, const RowSet::Row &N, int64_t CP,
+                               uint32_t Var, RowSet &Next) const {
+  // P's terms are scaled and capped first, then N's are added to them and
+  // capped again, as a term-by-term accumulation would.
+  size_t Begin = Next.Terms.size();
+  const Term *PI = Rows.begin(P), *PE = Rows.end(P);
+  const Term *NI = Rows.begin(N), *NE = Rows.end(N);
+  while (PI != PE || NI != NE) {
+    __int128 V;
+    uint32_t At;
+    if (NI == NE || (PI != PE && PI->Var < NI->Var)) {
+      At = PI->Var;
+      V = static_cast<__int128>(PI->Coeff) * CN;
+      ++PI;
+    } else if (PI == PE || NI->Var < PI->Var) {
+      At = NI->Var;
+      V = static_cast<__int128>(NI->Coeff) * CP;
+      ++NI;
+    } else {
+      At = PI->Var;
+      V = static_cast<__int128>(PI->Coeff) * CN;
+      if (At != Var && overCap(V)) {
+        Next.Terms.resize(Begin);
+        return false;
+      }
+      V += static_cast<__int128>(NI->Coeff) * CP;
+      ++PI;
+      ++NI;
+    }
+    if (At == Var)
+      continue;
+    if (overCap(V)) {
+      Next.Terms.resize(Begin);
+      return false;
+    }
+    if (V != 0)
+      Next.Terms.push_back({At, static_cast<int64_t>(V)});
+  }
+  __int128 C = static_cast<__int128>(P.Constant) * CN;
+  if (!overCap(C))
+    C += static_cast<__int128>(N.Constant) * CP;
+  if (overCap(C)) {
+    Next.Terms.resize(Begin);
+    return false;
+  }
+  Next.close(Begin, static_cast<int64_t>(C));
+  return true;
+}
+
+bool ConstraintSystem::refute(const RowSet &Base, const Linear *Goal) {
+  RowSet &Cur = Work.Cur;
+  RowSet &Next = Work.Next;
+  Cur.Terms.assign(Base.Terms.begin(), Base.Terms.end());
+  Cur.Rows.assign(Base.Rows.begin(), Base.Rows.end());
+  // Tighten every row (the base rows already are); a row with no
+  // variables stays as it is.
+  if (Goal) {
+    size_t Begin = Cur.Terms.size();
+    Cur.Terms.insert(Cur.Terms.end(), Goal->Terms.begin(), Goal->Terms.end());
+    Cur.close(Begin, Goal->Constant);
+    tighten(Cur.Terms.data() + Begin, Cur.Terms.data() + Cur.Terms.size(),
+            Cur.Rows.back().Constant);
+  }
+  Work.Counts.resize(Names.size());
+
+  while (true) {
+    // Contradiction: a row with no variables and positive constant.
+    for (const RowSet::Row &R : Cur.Rows)
+      if (R.Size == 0 && R.Constant > 0)
+        return true;
+
+    // Pick the variable with the cheapest elimination, ties to the
+    // lexicographically smallest name.
+    Work.Touched.clear();
+    for (const Term &T : Cur.Terms) {
+      Workspace::Count &C = Work.Counts[T.Var];
+      if (C.Pos == 0 && C.Neg == 0)
+        Work.Touched.push_back(T.Var);
+      ++(T.Coeff > 0 ? C.Pos : C.Neg);
+    }
+    if (Work.Touched.empty())
+      return false;
+    uint32_t Best = 0;
+    size_t BestCost = SIZE_MAX;
+    for (uint32_t V : Work.Touched) {
+      Workspace::Count &C = Work.Counts[V];
+      size_t Cost = static_cast<size_t>(C.Pos) * C.Neg;
+      if (Cost < BestCost || (Cost == BestCost && Rank[V] < Rank[Best])) {
+        BestCost = Cost;
+        Best = V;
+      }
+      C = Workspace::Count();
+    }
+
+    Work.Pos.clear();
+    Work.Neg.clear();
+    Next.clear();
+    for (uint32_t I = 0; I < Cur.Rows.size(); ++I) {
+      const RowSet::Row &R = Cur.Rows[I];
+      const Term *B = Cur.begin(R), *E = Cur.end(R);
+      const Term *At = std::lower_bound(
+          B, E, Best, [](const Term &T, uint32_t V) { return T.Var < V; });
+      if (At == E || At->Var != Best) {
+        size_t Begin = Next.Terms.size();
+        Next.Terms.insert(Next.Terms.end(), B, E);
+        Next.close(Begin, R.Constant);
+      } else {
+        (At->Coeff > 0 ? Work.Pos : Work.Neg)
+            .push_back({I, static_cast<uint32_t>(At - B)});
+      }
+    }
+
+    for (const auto &[PI, PAt] : Work.Pos) {
+      const RowSet::Row &P = Cur.Rows[PI];
+      int64_t CP = Cur.Terms[P.Begin + PAt].Coeff; // > 0
+      for (const auto &[NI, NAt] : Work.Neg) {
+        const RowSet::Row &N = Cur.Rows[NI];
+        int64_t CN = -Cur.Terms[N.Begin + NAt].Coeff; // > 0
+        // Dropping a derived row only weakens the refutation.
+        if (!combine(Cur, P, CN, N, CP, Best, Next))
+          continue;
+        RowSet::Row &Combined = Next.Rows.back();
+        Term *CB = Next.Terms.data() + Combined.Begin;
+        tighten(CB, CB + Combined.Size, Combined.Constant);
+        if (Combined.Size == 0) {
+          bool Contradiction = Combined.Constant > 0;
+          Next.Rows.pop_back();
+          if (Contradiction)
+            return true;
+          continue; // Satisfied constant row carries no information.
+        }
+        if (Next.Rows.size() > MaxRows)
+          return false; // Bail out: unproven.
+      }
+    }
+    std::swap(Cur, Next);
+  }
+}
+
+//===----------------------------------------------------------------------===
+// Queries.
+//===----------------------------------------------------------------------===
+
+bool ConstraintSystem::leCanonical(const Linear &Diff, int64_t Sign,
+                                   int64_t Shift) {
+  int64_t Constant = Sign * Diff.Constant + Shift;
+  if (Diff.Terms.empty())
+    return Constant <= 0;
+  std::vector<int64_t> &Key = Work.Key;
+  Key.clear();
+  Key.push_back(Constant);
+  for (const Term &T : Diff.Terms) {
+    Key.push_back(T.Var);
+    Key.push_back(Sign * T.Coeff);
+  }
+  auto Cached = Cache.LeVerdicts.find(Key);
+  if (Cached != Cache.LeVerdicts.end())
+    return Cached->second;
+  const RowSet &Base = baseRows();
+  // Negated goal: Sign * Diff + Shift >= 1, i.e. its negation plus one
+  // is <= 0.
+  Linear &Negated = Work.Other;
+  Negated.Terms.clear();
+  for (const Term &T : Diff.Terms)
+    Negated.Terms.push_back({T.Var, -Sign * T.Coeff});
+  Negated.Constant = 1 - Constant;
+  bool Proven = refute(Base, &Negated);
+  Cache.LeVerdicts.emplace(Key, Proven);
+  return Proven;
+}
+
+bool ConstraintSystem::eqCanonical(const Linear &Diff) {
+  if (Diff.Terms.empty())
+    return Diff.Constant == 0;
+  return leCanonical(Diff, 1, 0) && leCanonical(Diff, -1, 0);
+}
+
+bool ConstraintSystem::leDiff(const AffineExpr &L, const AffineExpr &R,
+                              int64_t Shift) {
+  canonicalDiff(L, R, Shift, Work.Diff);
+  return leCanonical(Work.Diff, 1, 0);
+}
+
+bool ConstraintSystem::proveLe(const AffineExpr &L, const AffineExpr &R) {
+  QueryClock Clock;
+  return leDiff(L, R);
+}
+
+bool ConstraintSystem::proveLt(const AffineExpr &L, const AffineExpr &R) {
+  QueryClock Clock;
+  return leDiff(L, R, 1);
+}
+
+bool ConstraintSystem::proveEq(const AffineExpr &L, const AffineExpr &R) {
+  QueryClock Clock;
+  canonicalDiff(L, R, 0, Work.Diff);
+  return eqCanonical(Work.Diff);
+}
+
+bool ConstraintSystem::proveNe(const AffineExpr &L, const AffineExpr &R) {
+  QueryClock Clock;
+  Linear Diff;
+  canonicalDiff(L, R, 0, Diff);
+  if (Diff.Terms.empty())
+    return Diff.Constant != 0;
+  Linear &NDiff = Work.Diff;
+  for (const RowSet::Row &N : NeFacts.Rows) {
+    canonicalize(NeFacts.begin(N), NeFacts.end(N), N.Constant, NDiff);
+    auto Matches = [&NDiff, &Diff](int64_t Sign) {
+      if (NDiff.Constant != Sign * Diff.Constant ||
+          NDiff.Terms.size() != Diff.Terms.size())
+        return false;
+      for (size_t I = 0; I < Diff.Terms.size(); ++I)
+        if (NDiff.Terms[I].Var != Diff.Terms[I].Var ||
+            NDiff.Terms[I].Coeff != Sign * Diff.Terms[I].Coeff)
+          return false;
+      return true;
+    };
+    if (Matches(1) || Matches(-1))
+      return true;
+  }
+  // L < R, i.e. Diff + 1 <= 0; or R < L, i.e. 1 - Diff <= 0.
+  return leCanonical(Diff, 1, 1) || leCanonical(Diff, -1, 1);
+}
+
+bool ConstraintSystem::congruentCanonical(Linear Cur, int64_t M, int64_t R) {
+  int64_t Want = ((R % M) + M) % M;
+  auto Done = [M, Want](const Linear &X) -> std::optional<bool> {
+    for (const Term &T : X.Terms)
+      if (T.Coeff % M != 0)
         return std::nullopt;
-    int64_t C = ((X.constantPart() % M) + M) % M;
+    int64_t C = ((X.Constant % M) + M) % M;
     return C == Want;
+  };
+  auto KeyOf = [](const Linear &X) {
+    std::vector<int64_t> Key{X.Constant};
+    for (const Term &T : X.Terms) {
+      Key.push_back(T.Var);
+      Key.push_back(T.Coeff);
+    }
+    return Key;
+  };
+  // Cur + Scale * By + Shift.
+  auto AddScaled = [](const Linear &A, const Linear &By, int64_t Scale,
+                      int64_t Shift) {
+    Linear Out;
+    size_t I = 0, J = 0;
+    while (I < A.Terms.size() || J < By.Terms.size()) {
+      if (J == By.Terms.size() ||
+          (I < A.Terms.size() && A.Terms[I].Var < By.Terms[J].Var)) {
+        Out.Terms.push_back(A.Terms[I++]);
+      } else if (I == A.Terms.size() || By.Terms[J].Var < A.Terms[I].Var) {
+        Out.Terms.push_back({By.Terms[J].Var, By.Terms[J].Coeff * Scale});
+        ++J;
+      } else {
+        int64_t C = A.Terms[I].Coeff + By.Terms[J].Coeff * Scale;
+        if (C != 0)
+          Out.Terms.push_back({A.Terms[I].Var, C});
+        ++I;
+        ++J;
+      }
+    }
+    Out.Constant = A.Constant + By.Constant * Scale + Shift;
+    return Out;
+  };
+  auto CoeffOf = [](const Linear &X, uint32_t Var) -> int64_t {
+    for (const Term &T : X.Terms)
+      if (T.Var == Var)
+        return T.Coeff;
+    return 0;
   };
 
   // Reduce variables using congruence facts (subtracting t*(F.E - F.Rem)
   // changes nothing mod M when M | F.Mod) and equality facts (L - R = 0
   // may be subtracted any integer number of times). Congruences first —
   // equality rewriting alone can oscillate between aliases of the same
-  // value; a visited set cuts any remaining cycles.
-  std::set<std::string> Visited;
+  // value; a visited set cuts any remaining cycles. Variables are tried
+  // in name order.
+  std::set<std::vector<int64_t>> Visited;
+  Linear Fact;
+  std::vector<Term> ByNameOrder;
   for (int Round = 0; Round < 16; ++Round) {
     if (auto Result = Done(Cur))
       return *Result;
-    if (!Visited.insert(Cur.str()).second)
+    if (!Visited.insert(KeyOf(Cur)).second)
       break;
     bool Progress = false;
-    for (const auto &[Name, Coeff] : Cur.terms()) {
+    ByNameOrder = Cur.Terms;
+    std::sort(ByNameOrder.begin(), ByNameOrder.end(),
+              [this](const Term &A, const Term &B) {
+                return Rank[A.Var] < Rank[B.Var];
+              });
+    for (const auto &[Var, Coeff] : ByNameOrder) {
       if (Coeff % M == 0)
         continue;
       // Congruence facts with a compatible modulus.
-      for (const CongFact &F : CongFacts) {
-        if (F.Mod % M != 0)
+      for (size_t F = 0; F < CongFacts.Rows.size(); ++F) {
+        if (CongMods[F].Mod % M != 0)
           continue;
-        AffineExpr FE = canonicalize(F.E);
-        auto It = FE.terms().find(Name);
-        if (It == FE.terms().end())
-          continue;
-        int64_t FC = It->second;
+        const RowSet::Row &Row = CongFacts.Rows[F];
+        canonicalize(CongFacts.begin(Row), CongFacts.end(Row), Row.Constant,
+                     Fact);
+        int64_t FC = CoeffOf(Fact, Var);
         if (FC == 0 || Coeff % FC != 0)
           continue;
         int64_t T = Coeff / FC;
-        AffineExpr Next = Cur - FE * T + AffineExpr::constant(F.Rem * T);
-        if (Visited.count(Next.str()))
+        Linear Next = AddScaled(Cur, Fact, -T, CongMods[F].Rem * T);
+        if (Visited.count(KeyOf(Next)))
           continue;
         Cur = std::move(Next);
         Progress = true;
@@ -139,16 +715,14 @@ bool ConstraintSystem::proveCongruent(const AffineExpr &E, int64_t M,
       if (Progress)
         break;
       // Equality facts.
-      for (const auto &[L, Rhs] : Equalities) {
-        AffineExpr D = canonicalize(L) - canonicalize(Rhs);
-        auto It = D.terms().find(Name);
-        if (It == D.terms().end())
-          continue;
-        int64_t DC = It->second;
+      for (const RowSet::Row &Row : Equalities.Rows) {
+        canonicalize(Equalities.begin(Row), Equalities.end(Row), Row.Constant,
+                     Fact);
+        int64_t DC = CoeffOf(Fact, Var);
         if (DC == 0 || Coeff % DC != 0)
           continue;
-        AffineExpr Next = Cur - D * (Coeff / DC);
-        if (Visited.count(Next.str()))
+        Linear Next = AddScaled(Cur, Fact, -(Coeff / DC), 0);
+        if (Visited.count(KeyOf(Next)))
           continue;
         Cur = std::move(Next);
         Progress = true;
@@ -165,308 +739,15 @@ bool ConstraintSystem::proveCongruent(const AffineExpr &E, int64_t M,
   return false;
 }
 
-void ConstraintSystem::addFieldAlias(const std::string &X,
-                                     const std::string &Y,
-                                     const std::string &F) {
-  AliasFact A;
-  A.X = X;
-  A.Base = Y;
-  A.IsArray = false;
-  A.Field = F;
-  Aliases.push_back(std::move(A));
-  ClosureDirty = true;
-  invalidate();
-}
-
-void ConstraintSystem::addArrayAlias(const std::string &X,
-                                     const std::string &Y,
-                                     const AffineExpr &Index) {
-  AliasFact A;
-  A.X = X;
-  A.Base = Y;
-  A.IsArray = true;
-  A.Index = Index;
-  Aliases.push_back(std::move(A));
-  ClosureDirty = true;
-  invalidate();
-}
-
-std::string ConstraintSystem::find(const std::string &Name) {
-  auto It = Parent.find(Name);
-  if (It == Parent.end())
-    return Name;
-  if (It->second == Name)
-    return Name;
-  std::string Root = find(It->second);
-  Parent[Name] = Root;
-  return Root;
-}
-
-void ConstraintSystem::unite(const std::string &A, const std::string &B) {
-  std::string RA = find(A);
-  std::string RB = find(B);
-  if (RA == RB)
-    return;
-  // Deterministic representative: the lexicographically smaller root, so
-  // canonicalization does not depend on insertion order.
-  if (RB < RA)
-    std::swap(RA, RB);
-  Parent[RB] = RA;
-}
-
-void ConstraintSystem::rebuildClosure() {
-  if (!ClosureDirty)
-    return;
-  Parent.clear();
-  // Seed with syntactic var=var and var=const equalities.
-  for (const auto &[L, R] : Equalities) {
-    AffineExpr Diff = L - R;
-    const auto &Terms = Diff.terms();
-    if (Terms.size() == 2 && Diff.constantPart() == 0) {
-      auto It = Terms.begin();
-      auto [N1, C1] = *It;
-      ++It;
-      auto [N2, C2] = *It;
-      if (C1 + C2 == 0 && (C1 == 1 || C1 == -1))
-        unite(N1, N2);
-    } else if (Terms.size() == 1) {
-      auto [Name, Coeff] = *Terms.begin();
-      if (Coeff == 1 || Coeff == -1) {
-        int64_t Value = -Diff.constantPart() / Coeff;
-        if (-Diff.constantPart() % Coeff == 0)
-          unite(Name, "#const:" + std::to_string(Value));
-      }
-    }
-  }
-  // Congruence over alias terms: iterate to a fixed point because keys
-  // mention representatives.
-  for (int Round = 0; Round < 8; ++Round) {
-    bool Changed = false;
-    for (const AliasFact &A : Aliases) {
-      std::string Key;
-      if (A.IsArray) {
-        // Canonicalize the index through current representatives.
-        AffineExpr Idx = A.Index;
-        for (const std::string &V : A.Index.variables())
-          Idx = Idx.substitute(V, AffineExpr::variable(find(V)));
-        Key = "a#" + find(A.Base) + "#" + Idx.str();
-      } else {
-        Key = "f#" + A.Field + "#" + find(A.Base);
-      }
-      std::string RX = find(A.X);
-      std::string RK = find(Key);
-      if (RX != RK) {
-        unite(RX, RK);
-        Changed = true;
-      }
-    }
-    if (!Changed)
-      break;
-  }
-  ClosureDirty = false;
-}
-
-AffineExpr ConstraintSystem::canonicalize(const AffineExpr &E) {
-  rebuildClosure();
-  AffineExpr Out = E;
-  for (const std::string &V : E.variables()) {
-    std::string Rep = find(V);
-    if (Rep == V)
-      continue;
-    // Constants fold back into the constant part.
-    if (Rep.rfind("#const:", 0) == 0) {
-      int64_t Value = std::stoll(Rep.substr(7));
-      Out = Out.substitute(V, AffineExpr::constant(Value));
-    } else {
-      Out = Out.substitute(V, AffineExpr::variable(Rep));
-    }
-  }
-  return Out;
-}
-
-ConstraintSystem::Row ConstraintSystem::rowFromLe(const AffineExpr &L,
-                                                  const AffineExpr &R) {
-  AffineExpr Diff = L - R;
-  Row Out;
-  Out.Terms = Diff.terms();
-  Out.Constant = Diff.constantPart();
-  return Out;
-}
-
-const std::vector<ConstraintSystem::Row> &ConstraintSystem::baseRows() {
-  if (BaseRows)
-    return *BaseRows;
-  std::vector<Row> Rows;
-  for (const auto &[L, R] : Equalities) {
-    AffineExpr CL = canonicalize(L), CR = canonicalize(R);
-    Rows.push_back(rowFromLe(CL, CR));
-    Rows.push_back(rowFromLe(CR, CL));
-  }
-  for (const auto &[L, R] : LeFacts)
-    Rows.push_back(rowFromLe(canonicalize(L), canonicalize(R)));
-  BaseRows = std::move(Rows);
-  return *BaseRows;
-}
-
-namespace {
-
-int64_t gcdOf(const std::map<std::string, int64_t> &Terms) {
-  int64_t G = 0;
-  for (const auto &[Name, Coeff] : Terms)
-    G = std::gcd(G, Coeff < 0 ? -Coeff : Coeff);
-  return G;
-}
-
-} // namespace
-
-bool ConstraintSystem::refute(std::vector<Row> Rows) {
-  // Tighten + detect immediate contradictions; drop trivial rows.
-  auto Tighten = [](Row &R) -> bool {
-    int64_t G = gcdOf(R.Terms);
-    if (G > 1) {
-      for (auto &[Name, Coeff] : R.Terms)
-        Coeff /= G;
-      // Terms + C <= 0 ⇔ Terms/G <= -C/G ⇒ Terms/G <= floor(-C/G).
-      int64_t NegC = -R.Constant;
-      int64_t Floored =
-          NegC >= 0 ? NegC / G : -((-NegC + G - 1) / G);
-      R.Constant = -Floored;
-    }
+bool ConstraintSystem::proveCongruent(const AffineExpr &E, int64_t M,
+                                      int64_t R) {
+  QueryClock Clock;
+  assert(M >= 1 && "modulus must be positive");
+  if (M == 1)
     return true;
-  };
-  for (Row &R : Rows)
-    Tighten(R);
-
-  while (true) {
-    // Contradiction: a row with no variables and positive constant.
-    for (const Row &R : Rows)
-      if (R.Terms.empty() && R.Constant > 0)
-        return true;
-
-    // Pick the variable with the cheapest elimination.
-    std::map<std::string, std::pair<size_t, size_t>> Counts;
-    for (const Row &R : Rows)
-      for (const auto &[Name, Coeff] : R.Terms) {
-        if (Coeff > 0)
-          Counts[Name].first++;
-        else
-          Counts[Name].second++;
-      }
-    if (Counts.empty())
-      return false;
-    std::string Best;
-    size_t BestCost = SIZE_MAX;
-    for (const auto &[Name, PN] : Counts) {
-      size_t Cost = PN.first * PN.second;
-      if (Cost < BestCost) {
-        BestCost = Cost;
-        Best = Name;
-      }
-    }
-
-    std::vector<Row> Pos, Neg, Rest;
-    for (Row &R : Rows) {
-      auto It = R.Terms.find(Best);
-      if (It == R.Terms.end())
-        Rest.push_back(std::move(R));
-      else if (It->second > 0)
-        Pos.push_back(std::move(R));
-      else
-        Neg.push_back(std::move(R));
-    }
-
-    std::vector<Row> Next = std::move(Rest);
-    bool Overflow = false;
-    for (const Row &P : Pos) {
-      for (const Row &N : Neg) {
-        int64_t CP = P.Terms.at(Best);       // > 0
-        int64_t CN = -N.Terms.at(Best);      // > 0
-        Row Combined;
-        auto Accumulate = [&](const Row &Src, int64_t Scale) {
-          for (const auto &[Name, Coeff] : Src.Terms) {
-            if (Name == Best)
-              continue;
-            __int128 V = static_cast<__int128>(Combined.Terms[Name]) +
-                         static_cast<__int128>(Coeff) * Scale;
-            if (V > MaxCoeff || V < -MaxCoeff) {
-              Overflow = true;
-              return;
-            }
-            int64_t NV = static_cast<int64_t>(V);
-            if (NV == 0)
-              Combined.Terms.erase(Name);
-            else
-              Combined.Terms[Name] = NV;
-          }
-          __int128 C = static_cast<__int128>(Combined.Constant) +
-                       static_cast<__int128>(Src.Constant) * Scale;
-          if (C > MaxCoeff || C < -MaxCoeff) {
-            Overflow = true;
-            return;
-          }
-          Combined.Constant = static_cast<int64_t>(C);
-        };
-        Accumulate(P, CN);
-        if (!Overflow)
-          Accumulate(N, CP);
-        if (Overflow) {
-          Overflow = false;
-          continue; // Dropping a derived row only weakens the refutation.
-        }
-        Tighten(Combined);
-        if (Combined.Terms.empty()) {
-          if (Combined.Constant > 0)
-            return true;
-          continue; // Satisfied constant row carries no information.
-        }
-        Next.push_back(std::move(Combined));
-        if (Next.size() > MaxRows)
-          return false; // Bail out: unproven.
-      }
-    }
-    Rows = std::move(Next);
-  }
-}
-
-bool ConstraintSystem::proveLe(const AffineExpr &L, const AffineExpr &R) {
-  QueryClock Clock;
-  AffineExpr Diff = canonicalize(L) - canonicalize(R);
-  if (auto C = Diff.constantValue())
-    return *C <= 0;
-  auto Cached = LeVerdicts.find(Diff);
-  if (Cached != LeVerdicts.end())
-    return Cached->second;
-  std::vector<Row> Rows = baseRows();
-  // Negated goal: L - R >= 1, i.e. (R - L + 1) <= 0.
-  Row Negated;
-  AffineExpr Neg = -Diff + 1;
-  Negated.Terms = Neg.terms();
-  Negated.Constant = Neg.constantPart();
-  Rows.push_back(std::move(Negated));
-  bool Proven = refute(std::move(Rows));
-  LeVerdicts.emplace(std::move(Diff), Proven);
-  return Proven;
-}
-
-bool ConstraintSystem::proveEq(const AffineExpr &L, const AffineExpr &R) {
-  QueryClock Clock;
-  AffineExpr Diff = canonicalize(L) - canonicalize(R);
-  if (auto C = Diff.constantValue())
-    return *C == 0;
-  return proveLe(L, R) && proveLe(R, L);
-}
-
-bool ConstraintSystem::proveNe(const AffineExpr &L, const AffineExpr &R) {
-  QueryClock Clock;
-  AffineExpr Diff = canonicalize(L) - canonicalize(R);
-  if (auto C = Diff.constantValue())
-    return *C != 0;
-  for (const auto &[NL, NR] : NeFacts) {
-    AffineExpr NDiff = canonicalize(NL) - canonicalize(NR);
-    if (NDiff == Diff || NDiff == -Diff)
-      return true;
-  }
-  return proveLt(L, R) || proveLt(R, L);
+  Linear Cur;
+  canonicalDiff(E, AffineExpr(), 0, Cur);
+  return congruentCanonical(std::move(Cur), M, R);
 }
 
 bool ConstraintSystem::equivVars(const std::string &X, const std::string &Y) {
@@ -474,37 +755,44 @@ bool ConstraintSystem::equivVars(const std::string &X, const std::string &Y) {
   if (X == Y)
     return true;
   rebuildClosure();
-  if (find(X) == find(Y))
+  uint32_t IX = intern(X), IY = intern(Y);
+  if (Rep[IX] == Rep[IY])
     return true;
-  return proveEq(AffineExpr::variable(X), AffineExpr::variable(Y));
+  Term Raw[2] = {{IX, 1}, {IY, -1}};
+  canonicalize(Raw, Raw + 2, 0, Work.Diff);
+  return eqCanonical(Work.Diff);
 }
 
 bool ConstraintSystem::proveRangeSubset(const SymbolicRange &Sub,
                                         const SymbolicRange &Sup) {
   QueryClock Clock;
+  auto Aligned = [this, &Sub, &Sup]() {
+    Linear Offset;
+    canonicalDiff(Sub.Begin, Sup.Begin, 0, Offset);
+    return congruentCanonical(std::move(Offset), Sup.Stride, 0);
+  };
   // A provably empty Sub is a subset of anything.
-  if (proveLe(Sub.End, Sub.Begin))
+  if (leDiff(Sub.End, Sub.Begin))
     return true;
   // Singletons need membership, not stride divisibility.
   if (Sub.isSingleton()) {
-    if (!proveLe(Sup.Begin, Sub.Begin) || !proveLt(Sub.Begin, Sup.End))
+    if (!leDiff(Sup.Begin, Sub.Begin) || !leDiff(Sub.Begin, Sup.End, 1))
       return false;
-    return Sup.Stride == 1 ||
-           proveCongruent(Sub.Begin - Sup.Begin, Sup.Stride, 0);
+    return Sup.Stride == 1 || Aligned();
   }
   if (Sub.Stride % Sup.Stride != 0)
     return false;
-  if (!proveLe(Sup.Begin, Sub.Begin) || !proveLe(Sub.End, Sup.End))
+  if (!leDiff(Sup.Begin, Sub.Begin) || !leDiff(Sub.End, Sup.End))
     return false;
   if (Sup.Stride == 1)
     return true;
   // Alignment: (Sub.Begin - Sup.Begin) must be a multiple of Sup.Stride.
-  return proveCongruent(Sub.Begin - Sup.Begin, Sup.Stride, 0);
+  return Aligned();
 }
 
 bool ConstraintSystem::inconsistent() {
   QueryClock Clock;
-  if (!Inconsistent)
-    Inconsistent = refute(baseRows());
-  return *Inconsistent;
+  if (!Cache.Inconsistent)
+    Cache.Inconsistent = refute(baseRows(), nullptr);
+  return *Cache.Inconsistent;
 }

@@ -17,6 +17,13 @@
 ///    and inequalities (sound: the rational relaxation only ever proves
 ///    valid integer facts).
 ///
+/// Internally a system interns every variable and alias-term name once
+/// into a dense id; rows, the union-find and the verdict cache all work
+/// on ids. Every choice that can change a verdict still follows the
+/// names: Fourier-Motzkin eliminates the cheapest variable with ties to
+/// the lexicographically smallest name, and a congruence class is named
+/// by its lexicographically smallest member.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BIGFOOT_ENTAIL_CONSTRAINTSYSTEM_H
@@ -25,9 +32,9 @@
 #include "support/AffineExpr.h"
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace bigfoot {
@@ -61,9 +68,14 @@ private:
 ///
 /// A system answers many queries from one build: it caches its canonical
 /// base rows, the inconsistent() verdict and every proveLe verdict (keyed
-/// by the canonical difference L - R). Each add* call drops all three, so
-/// a cached answer is always the one a fresh system with the same facts
-/// would give.
+/// by the canonical row of L - R). An add* call that can change them
+/// drops all three, so a cached answer is always the one a fresh system
+/// with the same facts would give.
+///
+/// pushScope()/popScope() bracket temporary facts, such as the probe
+/// alias of an alias-entailment query: popScope() drops the facts added
+/// since the matching pushScope() and restores the caches as they were,
+/// so every later query answers as if the scope had never been opened.
 class ConstraintSystem {
 public:
   /// Adds the fact L == R.
@@ -73,7 +85,7 @@ public:
   void addLe(const AffineExpr &L, const AffineExpr &R);
 
   /// Adds the fact L < R (as L + 1 <= R; BFJ integers are mathematical).
-  void addLt(const AffineExpr &L, const AffineExpr &R) { addLe(L + 1, R); }
+  void addLt(const AffineExpr &L, const AffineExpr &R);
 
   /// Adds the fact L != R. Disequalities do not feed the linear solver;
   /// they only support proveNe.
@@ -99,9 +111,7 @@ public:
   bool proveLe(const AffineExpr &L, const AffineExpr &R);
 
   /// True if the facts entail L < R.
-  bool proveLt(const AffineExpr &L, const AffineExpr &R) {
-    return proveLe(L + 1, R);
-  }
+  bool proveLt(const AffineExpr &L, const AffineExpr &R);
 
   /// True if the facts entail L != R (constant difference, a recorded
   /// disequality, or a strict bound).
@@ -124,63 +134,192 @@ public:
   /// of an if added contradictory tests). Used to prune dead merge arms.
   bool inconsistent();
 
+  /// Opens a scope of temporary facts; see the class comment.
+  void pushScope();
+  /// Drops the facts added since the matching pushScope().
+  void popScope();
+
+  /// A pushScope() that its destructor pops.
+  class Scope {
+  public:
+    explicit Scope(ConstraintSystem &CS) : CS(CS) { CS.pushScope(); }
+    ~Scope() { CS.popScope(); }
+    Scope(const Scope &) = delete;
+    Scope &operator=(const Scope &) = delete;
+
+  private:
+    ConstraintSystem &CS;
+  };
+
+  /// How many times this system has built its canonical base rows.
+  uint64_t rowBuilds() const { return RowBuilds; }
+
 private:
   /// Charges one top-level query to the active EntailmentProfile.
   class QueryClock;
 
-  struct Row {
-    std::map<std::string, int64_t> Terms;
-    int64_t Constant = 0; // Row means Terms + Constant <= 0.
+  /// One term of a row: an interned variable and a nonzero coefficient.
+  struct Term {
+    uint32_t Var;
+    int64_t Coeff;
   };
 
-  std::vector<std::pair<AffineExpr, AffineExpr>> Equalities;
-  std::vector<std::pair<AffineExpr, AffineExpr>> LeFacts;
-  std::vector<std::pair<AffineExpr, AffineExpr>> NeFacts;
+  /// Rows stored back to back in one term arena. A row reads
+  /// Terms[Begin, Begin + Size) + Constant, with its terms sorted by id;
+  /// a base or Fourier-Motzkin row means "... <= 0".
+  struct RowSet {
+    struct Row {
+      uint32_t Begin;
+      uint32_t Size;
+      int64_t Constant;
+    };
+    std::vector<Term> Terms;
+    std::vector<Row> Rows;
 
-  struct CongFact {
-    AffineExpr E;
-    int64_t Mod = 1;
-    int64_t Rem = 0;
+    void clear() {
+      Terms.clear();
+      Rows.clear();
+    }
+    const Term *begin(const Row &R) const { return Terms.data() + R.Begin; }
+    const Term *end(const Row &R) const {
+      return Terms.data() + R.Begin + R.Size;
+    }
+    /// Closes a row over the terms appended since \p Begin.
+    void close(size_t Begin, int64_t Constant) {
+      Rows.push_back({static_cast<uint32_t>(Begin),
+                      static_cast<uint32_t>(Terms.size() - Begin),
+                      Constant});
+    }
   };
-  std::vector<CongFact> CongFacts;
+
+  /// A loose affine row, sorted by id.
+  struct Linear {
+    std::vector<Term> Terms;
+    int64_t Constant = 0;
+  };
+
+  struct CanonKeyHash {
+    size_t operator()(const std::vector<int64_t> &Key) const;
+  };
+
+  //===--- Interned names --------------------------------------------------
+  std::vector<std::string> Names; ///< Id -> name.
+  std::vector<uint32_t> ByName;   ///< Ids in name order.
+  std::vector<uint32_t> Rank;     ///< Id -> position in ByName.
+  /// Id -> value, for the "#const:N" names that equalities to a
+  /// constant join their variable to.
+  std::vector<std::optional<int64_t>> ConstOf;
+
+  uint32_t intern(const std::string &Name);
+
+  //===--- Facts, as uncanonicalized rows of L - R -------------------------
+  RowSet Equalities;
+  RowSet LeFacts;
+  RowSet NeFacts;
+  RowSet CongFacts;
+  struct CongMod {
+    int64_t Mod;
+    int64_t Rem;
+  };
+  std::vector<CongMod> CongMods;
 
   struct AliasFact {
-    std::string X;
-    std::string Key; // "f#<field>#<base>" or "a#<base>#<index-str>".
-    std::string Base;
-    bool IsArray = false;
+    uint32_t X;
+    uint32_t Base;
+    bool IsArray;
     std::string Field;
     AffineExpr Index;
   };
   std::vector<AliasFact> Aliases;
 
-  /// Caches over the current facts; invalidate() drops them.
-  std::optional<std::vector<Row>> BaseRows;
-  std::optional<bool> Inconsistent;
-  std::map<AffineExpr, bool> LeVerdicts; ///< Canonical L - R -> proveLe.
+  /// Sorts \p Terms by id, sums the coefficients of equal ids and drops
+  /// the zeros.
+  static void normalize(std::vector<Term> &Terms);
+  /// Appends L - R + Shift to \p Out as one raw row.
+  void addRawRow(RowSet &Out, const AffineExpr &L, const AffineExpr &R,
+                 int64_t Shift);
 
-  /// Called by every add*: the facts changed, so no cache holds.
-  void invalidate();
-
-  /// Union-find over variable / alias-term names, rebuilt lazily.
-  std::map<std::string, std::string> Parent;
+  //===--- Congruence closure over ids -------------------------------------
+  std::vector<uint32_t> Parent; ///< Union-find; rebuilt lazily.
+  std::vector<uint32_t> Rep;    ///< Id -> class representative.
   bool ClosureDirty = true;
 
-  std::string find(const std::string &Name);
-  void unite(const std::string &A, const std::string &B);
+  uint32_t find(uint32_t Id);
+  void unite(uint32_t A, uint32_t B);
   void rebuildClosure();
 
-  /// Rewrites every variable to its congruence representative.
-  AffineExpr canonicalize(const AffineExpr &E);
+  //===--- Caches over the current facts -----------------------------------
+  struct Derived {
+    /// Canonical, tightened rows of the equality and <= facts.
+    RowSet Base;
+    bool HaveBase = false;
+    std::optional<bool> Inconsistent;
+    /// Canonical row of L - R (constant, then id/coefficient pairs) ->
+    /// proveLe verdict.
+    std::unordered_map<std::vector<int64_t>, bool, CanonKeyHash> LeVerdicts;
+  };
+  Derived Cache;
+  uint64_t RowBuilds = 0;
 
-  /// The base FM rows (facts only, canonicalized), built once per set of
-  /// facts.
-  const std::vector<Row> &baseRows();
+  /// The facts changed in a way that can move a verdict.
+  void invalidate();
 
-  /// True if Rows (plus the negated goal row) are infeasible.
-  static bool refute(std::vector<Row> Rows);
+  struct ScopeFrame {
+    size_t NumEq, NumLe, NumNe, NumCong, NumAliases;
+    std::vector<uint32_t> Rep;
+    /// The enclosing scope's caches, while this scope cannot share them.
+    Derived Saved;
+    /// True while Cache still holds the enclosing scope's caches: no
+    /// equality or <= fact was added, and every name the enclosing scope
+    /// knew keeps its representative, so its rows and verdicts hold here.
+    bool Shared = true;
+  };
+  std::vector<ScopeFrame> Scopes;
 
-  static Row rowFromLe(const AffineExpr &L, const AffineExpr &R);
+  //===--- Canonical rows and queries --------------------------------------
+  /// Rewrites raw terms to their representatives (folding constants),
+  /// sorted by id with no zero coefficients.
+  void canonicalize(const Term *B, const Term *E, int64_t Constant,
+                    Linear &Out);
+  /// Canonical L - R + Shift.
+  void canonicalDiff(const AffineExpr &L, const AffineExpr &R, int64_t Shift,
+                     Linear &Out);
+
+  const RowSet &baseRows();
+
+  /// True if the facts entail Sign * Diff + Shift <= 0.
+  bool leCanonical(const Linear &Diff, int64_t Sign, int64_t Shift);
+  bool eqCanonical(const Linear &Diff);
+  bool leDiff(const AffineExpr &L, const AffineExpr &R, int64_t Shift = 0);
+  bool congruentCanonical(Linear Cur, int64_t M, int64_t R);
+
+  //===--- Fourier-Motzkin --------------------------------------------------
+  /// True if the base rows plus the goal row (when non-null) are
+  /// infeasible.
+  bool refute(const RowSet &Base, const Linear *Goal);
+  /// Appends the P * CN + N * CP combination without Var to Next; false
+  /// (and nothing appended) when a coefficient passes the cap.
+  bool combine(const RowSet &Rows, const RowSet::Row &P, int64_t CN,
+               const RowSet::Row &N, int64_t CP, uint32_t Var,
+               RowSet &Next) const;
+
+  /// Buffers reused across queries: Fourier-Motzkin's rows, counts and
+  /// partition, the query's canonical difference (Diff), a scratch row
+  /// for raw terms, base rows and the negated goal (Other), and the
+  /// verdict-cache key.
+  struct Workspace {
+    RowSet Cur, Next;
+    struct Count {
+      uint32_t Pos = 0, Neg = 0;
+    };
+    std::vector<Count> Counts;
+    std::vector<uint32_t> Touched;
+    /// Row index and the position of the eliminated variable in it.
+    std::vector<std::pair<uint32_t, uint32_t>> Pos, Neg;
+    Linear Diff, Other;
+    std::vector<int64_t> Key;
+  };
+  Workspace Work;
 };
 
 } // namespace bigfoot

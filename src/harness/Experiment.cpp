@@ -45,6 +45,7 @@
 #include "support/Timer.h"
 #include "vm/Vm.h"
 
+#include <algorithm>
 #include <array>
 #include <climits>
 #include <cmath>
@@ -321,7 +322,10 @@ double bigfoot::geomeanOverhead(const std::vector<double> &Overheads) {
   return std::exp(LogSum / static_cast<double>(Overheads.size()));
 }
 
-BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
+BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv,
+                                  std::span<const std::string_view> Takes) {
+  std::string_view Bench = Argv[0];
+  Bench = Bench.substr(Bench.find_last_of('/') + 1);
   BenchArgs Args;
   for (int I = 1; I < Argc; ++I) {
     const char *Arg = Argv[I];
@@ -341,6 +345,14 @@ BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
       Args.Workload = Arg + 11;
     else if (!parseDetectFlag(Arg, Args.Opts)) {
       std::fprintf(stderr, "bigfoot: error: unknown option '%s'\n", Arg);
+      std::exit(1);
+    }
+    // A known option the bench would silently ignore is an error too.
+    std::string_view Name = Arg;
+    Name = Name.substr(0, Name.find('='));
+    if (std::find(Takes.begin(), Takes.end(), Name) == Takes.end()) {
+      std::fprintf(stderr, "bigfoot: error: %.*s does not take option '%s'\n",
+                   static_cast<int>(Bench.size()), Bench.data(), Arg);
       std::exit(1);
     }
   }

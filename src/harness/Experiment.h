@@ -20,7 +20,9 @@
 #include "workloads/Workloads.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace bigfoot {
@@ -98,13 +100,23 @@ double geomeanOverhead(const std::vector<double> &Overheads);
 /// command-line options shared by the bench binaries.
 /// Numeric values are strict (see parseNumericFlag): a malformed or
 /// out-of-range value, or any other argument, exits with an error.
+/// \p Takes names (without "=VALUE") the options the bench honours; any
+/// other of the options above exits with "<bench> does not take option".
 struct BenchArgs {
   SuiteScale Scale = SuiteScale::Bench;
   ExperimentOptions Opts;
   /// When non-empty, restrict suite-driven benches to this one workload.
   std::string Workload;
 };
-BenchArgs parseBenchArgs(int Argc, char **Argv);
+BenchArgs parseBenchArgs(int Argc, char **Argv,
+                         std::span<const std::string_view> Takes);
+
+/// The options a bench that measures through runSuite honours: every one
+/// but --workload.
+inline constexpr std::string_view kSuiteBenchOptions[] = {
+    "--small",        "--iters",         "--seed",
+    "--jobs",         "--record-dir",    "--async-detect",
+    "--detect-shards", "--no-check-filter"};
 
 } // namespace bigfoot
 

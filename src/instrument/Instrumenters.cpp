@@ -19,72 +19,6 @@ using namespace bigfoot;
 
 namespace {
 
-/// Builds the check path for one access statement.
-std::optional<Path> pathForAccess(const Stmt *S) {
-  switch (S->kind()) {
-  case StmtKind::FieldRead: {
-    const auto *F = cast<FieldReadStmt>(S);
-    return Path::field(AccessKind::Read, F->object(), F->field());
-  }
-  case StmtKind::FieldWrite: {
-    const auto *F = cast<FieldWriteStmt>(S);
-    return Path::field(AccessKind::Write, F->object(), F->field());
-  }
-  case StmtKind::ArrayRead: {
-    const auto *A = cast<ArrayReadStmt>(S);
-    std::optional<AffineExpr> Idx = toAffine(A->index());
-    assert(Idx && "validated programs have affine indices");
-    return Path::arrayIndex(AccessKind::Read, A->array(), *Idx);
-  }
-  case StmtKind::ArrayWrite: {
-    const auto *A = cast<ArrayWriteStmt>(S);
-    std::optional<AffineExpr> Idx = toAffine(A->index());
-    assert(Idx && "validated programs have affine indices");
-    return Path::arrayIndex(AccessKind::Write, A->array(), *Idx);
-  }
-  default:
-    return std::nullopt;
-  }
-}
-
-//===----------------------------------------------------------------------===
-// FastTrack placement: a check before every access.
-//===----------------------------------------------------------------------===
-
-void insertPerAccessChecks(const Program &P, Stmt *S) {
-  if (auto *Block = dyn_cast<BlockStmt>(S)) {
-    auto &Stmts = Block->stmts();
-    for (size_t I = 0; I < Stmts.size(); ++I) {
-      Stmt *Child = Stmts[I].get();
-      if (isa<BlockStmt>(Child) || isa<IfStmt>(Child) ||
-          isa<LoopStmt>(Child)) {
-        insertPerAccessChecks(P, Child);
-        continue;
-      }
-      std::optional<Path> Pth = pathForAccess(Child);
-      if (!Pth)
-        continue;
-      // Volatile accesses are synchronization, never checked.
-      if (Pth->isField() && P.isFieldVolatileAnywhere(Pth->Fields[0]))
-        continue;
-      Stmts.insert(Stmts.begin() + static_cast<ptrdiff_t>(I),
-                   std::make_unique<CheckStmt>(std::vector<Path>{*Pth}));
-      ++I;
-    }
-    return;
-  }
-  if (auto *If = dyn_cast<IfStmt>(S)) {
-    insertPerAccessChecks(P, If->thenStmt());
-    insertPerAccessChecks(P, If->elseStmt());
-    return;
-  }
-  if (auto *Loop = dyn_cast<LoopStmt>(S)) {
-    insertPerAccessChecks(P, Loop->preBody());
-    insertPerAccessChecks(P, Loop->postBody());
-    return;
-  }
-}
-
 //===----------------------------------------------------------------------===
 // RedCard placement: per-access checks minus redundant ones.
 //===----------------------------------------------------------------------===

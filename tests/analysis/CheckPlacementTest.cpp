@@ -558,3 +558,49 @@ thread {
   ParseResult R = parseProgram(Printed);
   EXPECT_TRUE(R.ok()) << R.Error << "\n" << Printed;
 }
+
+// Entailment queries grow exponentially with loop nesting. A body that
+// runs out of its query budget gets a check before every access instead
+// (the FastTrack placement), and the other bodies keep full placement.
+TEST(CheckPlacement, DeepLoopNestFallsBackToPerAccessChecks) {
+  std::string Nest = "t = c.f; c.f = t;";
+  for (int Level = 19; Level >= 0; --Level) {
+    std::string I = "i" + std::to_string(Level);
+    Nest = I + " = 0; while (" + I + " < 1) { " + Nest + " " + I + " = " +
+           I + " + 1; }";
+  }
+  std::string Source = "class C { fields f; method get() { x = this.f; "
+                       "y = this.f; } }\nthread { c = new C; " +
+                       Nest + " }\n";
+  auto Prog = parseProgramOrDie(Source.c_str());
+  PlacementStats Stats = placeBigFootChecks(*Prog);
+  EXPECT_EQ(Stats.BodiesOverBudget, 1u);
+  EXPECT_EQ(Stats.MaxBodyQueries, kEntailmentBudgetPerBody);
+  // get() keeps one check for both reads; the thread checks each access
+  // right before it.
+  EXPECT_EQ(Stats.ChecksInserted, 3u);
+  EXPECT_EQ(Stats.PathsInserted, 3u);
+  std::vector<const Stmt *> Seq;
+  for (const auto &T : Prog->Threads)
+    walkStmt(T.get(), [&Seq](const Stmt *S) { Seq.push_back(S); });
+  unsigned Accesses = 0;
+  for (size_t I = 0; I < Seq.size(); ++I) {
+    std::optional<Path> P = pathForAccess(Seq[I]);
+    if (!P)
+      continue;
+    ++Accesses;
+    ASSERT_GT(I, 0u);
+    const auto *Check = dyn_cast<CheckStmt>(Seq[I - 1]);
+    ASSERT_NE(Check, nullptr) << "no check right before an access";
+    ASSERT_EQ(Check->paths().size(), 1u);
+    EXPECT_EQ(Check->paths()[0], *P);
+  }
+  EXPECT_EQ(Accesses, 2u);
+  // A shallow nest stays within the budget.
+  auto Shallow = parseProgramOrDie(
+      "class C { fields f; }\nthread { c = new C; i = 0; "
+      "while (i < 1) { t = c.f; i = i + 1; } }\n");
+  PlacementStats Small = placeBigFootChecks(*Shallow);
+  EXPECT_EQ(Small.BodiesOverBudget, 0u);
+  EXPECT_GT(Small.MaxBodyQueries, 0u);
+}

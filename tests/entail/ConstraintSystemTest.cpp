@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "entail/ConstraintSystem.h"
+#include "entail/ReferenceRefute.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -418,6 +420,354 @@ TEST(ConstraintSystemCache, RandomDifferentialAgainstFreshSystem) {
       ASSERT_EQ(First, Expected) << "seed " << Seed << " step " << Step;
       ASSERT_EQ(Second, Expected) << "seed " << Seed << " step " << Step;
       ++Checked;
+    }
+  }
+  EXPECT_GT(Checked, 1000u);
+}
+
+//===----------------------------------------------------------------------===
+// Reference differential: the engine's Fourier-Motzkin against the
+// map-based oracle of ReferenceRefute.h. The facts never merge two names
+// in the congruence closure, so the engine's base rows are the facts as
+// written: its equalities (each as L - R and R - L), then its <= facts.
+//===----------------------------------------------------------------------===
+
+namespace {
+
+/// First used in an order that is not name order, so an engine that broke
+/// elimination ties by id instead of by name would disagree.
+const char *const FuzzVars[] = {"zeta", "b", "x'", "a10", "a9", "$t", "m"};
+
+struct FuzzShape {
+  const char *Name;
+  unsigned Vars;
+  unsigned MinFacts, MaxFacts;
+  int64_t Coeff;       ///< Coefficients are in [-Coeff, Coeff].
+  int64_t Constant;    ///< Constants are in [-Constant, Constant].
+  unsigned HugeShift;  ///< When nonzero, |coefficients| are near 2^shift.
+  /// Every fact holds at the origin, so refutation cannot stop early on a
+  /// contradiction and the rows grow until MaxRows.
+  bool Feasible;
+  uint64_t Seeds;
+};
+
+AffineExpr fuzzExpr(Rng &R, const FuzzShape &S, unsigned MaxTerms) {
+  AffineExpr E = c(R.nextInRange(-S.Constant, S.Constant));
+  unsigned Terms = static_cast<unsigned>(R.nextInRange(0, MaxTerms));
+  for (unsigned I = 0; I < Terms; ++I) {
+    // Large coefficients are drawn whole, so that dividing a row by the
+    // gcd of its coefficients rarely shrinks them.
+    int64_t K = S.HugeShift ? R.nextInRange(int64_t(1) << (S.HugeShift - 2),
+                                            int64_t(1) << S.HugeShift) *
+                                  (R.chance(1, 2) ? 1 : -1)
+                            : R.nextInRange(-S.Coeff, S.Coeff);
+    E = E + v(FuzzVars[R.nextBelow(S.Vars)]) * K;
+  }
+  return E;
+}
+
+/// True if the equality L = R would join two names (x = y) or a name and
+/// a constant (x = 3) in the congruence closure.
+bool joinsClasses(const AffineExpr &L, const AffineExpr &R) {
+  AffineExpr D = L - R;
+  const auto &T = D.terms();
+  if (T.size() == 2 && D.constantPart() == 0) {
+    int64_t C1 = T.begin()->second, C2 = std::next(T.begin())->second;
+    return C1 + C2 == 0 && (C1 == 1 || C1 == -1);
+  }
+  return T.size() == 1 && (T.begin()->second == 1 || T.begin()->second == -1);
+}
+
+} // namespace
+
+TEST(ReferenceDifferential, FourierMotzkinMatchesMapBasedOracle) {
+  const FuzzShape Shapes[] = {
+      // Small systems: many cost ties and gcd tightenings.
+      {"small", 5, 2, 10, 3, 6, 0, false, 40},
+      // Dense feasible systems: row counts past MaxRows.
+      {"dense", 7, 20, 28, 2, 4, 0, true, 8},
+      // Large coefficients: combinations past MaxCoeff.
+      {"huge", 4, 4, 10, 0, 1 << 20, 24, false, 40},
+  };
+  unsigned Checked = 0, Proven = 0, MaxRowsHits = 0, CoeffDrops = 0,
+           Ties = 0;
+  for (const FuzzShape &S : Shapes) {
+    for (uint64_t Seed = 1; Seed <= S.Seeds; ++Seed) {
+      Rng R(Seed * 7919 + S.Vars);
+      ConstraintSystem CS;
+      std::vector<reference::Row> EqRows, LeRows;
+      unsigned Facts = static_cast<unsigned>(
+          R.nextInRange(S.MinFacts, S.MaxFacts));
+      for (unsigned F = 0; F < Facts; ++F) {
+        AffineExpr L = fuzzExpr(R, S, 3), Rhs = fuzzExpr(R, S, 2);
+        if (S.Feasible) {
+          // Most variables in every row, and the origin satisfies it.
+          L = AffineExpr();
+          for (unsigned V = 0; V < S.Vars; ++V)
+            if (!R.chance(1, 4))
+              L = L + v(FuzzVars[V]) * (R.chance(1, 2) ? 1 : -1) *
+                          R.nextInRange(1, S.Coeff);
+          Rhs = c(R.nextInRange(0, S.Constant));
+        }
+        switch (S.Feasible ? 1 : R.nextBelow(3)) {
+        case 0:
+          if (!joinsClasses(L, Rhs)) {
+            CS.addEquality(L, Rhs);
+            EqRows.push_back(reference::rowFromLe(L, Rhs));
+            EqRows.push_back(reference::rowFromLe(Rhs, L));
+            break;
+          }
+          [[fallthrough]];
+        case 1:
+          CS.addLe(L, Rhs);
+          LeRows.push_back(reference::rowFromLe(L, Rhs));
+          break;
+        default:
+          CS.addLt(L, Rhs);
+          LeRows.push_back(reference::rowFromLe(L + 1, Rhs));
+          break;
+        }
+      }
+      std::vector<reference::Row> Base = EqRows;
+      Base.insert(Base.end(), LeRows.begin(), LeRows.end());
+      auto Tally = [&](const reference::Outcome &O) {
+        MaxRowsHits += O.HitMaxRows;
+        CoeffDrops += O.CoeffDrops;
+        Ties += O.Ties;
+        Proven += O.Refuted;
+        ++Checked;
+        return O.Refuted;
+      };
+      ASSERT_EQ(CS.inconsistent(), Tally(reference::refute(Base)))
+          << S.Name << " seed " << Seed;
+      for (int Q = 0; Q < 4; ++Q) {
+        AffineExpr L = fuzzExpr(R, S, 2), Rhs = fuzzExpr(R, S, 2);
+        AffineExpr Diff = L - Rhs;
+        bool Expected;
+        if (auto C = Diff.constantValue()) {
+          Expected = *C <= 0;
+        } else {
+          // Negated goal: L - R >= 1, i.e. R + 1 - L <= 0.
+          std::vector<reference::Row> Rows = Base;
+          Rows.push_back(reference::rowFromLe(Rhs + 1, L));
+          Expected = Tally(reference::refute(std::move(Rows)));
+        }
+        ASSERT_EQ(CS.proveLe(L, Rhs), Expected)
+            << S.Name << " seed " << Seed << " query " << Q << ": "
+            << L.str() << " <= " << Rhs.str();
+      }
+    }
+  }
+  // The inputs must reach every cap and tie the engine has to reproduce,
+  // and both verdicts.
+  EXPECT_GT(Checked, 350u);
+  EXPECT_GT(Proven, 20u);
+  EXPECT_GT(Checked - Proven, 20u);
+  EXPECT_GT(MaxRowsHits, 5u);
+  EXPECT_GT(CoeffDrops, 20u);
+  EXPECT_GT(Ties, 100u);
+}
+
+namespace {
+
+/// The oracle's verdict on Le rows written out by hand.
+bool oracleRefutes(const std::vector<std::pair<AffineExpr, AffineExpr>> &Le,
+                   unsigned TrivialRows = 0) {
+  std::vector<reference::Row> Rows(TrivialRows);
+  for (const auto &[L, R] : Le)
+    Rows.push_back(reference::rowFromLe(L, R));
+  return reference::refute(std::move(Rows)).Refuted;
+}
+
+} // namespace
+
+// After a (cost 0) drops out, b and c tie at cost 2. Eliminating b first
+// refutes the system; eliminating c first does not. c is interned before
+// b, so a tie broken by id would pick c.
+TEST(ReferenceDifferential, EliminationTiesGoToTheSmallestName) {
+  std::vector<std::pair<AffineExpr, AffineExpr>> Le = {
+      {v("a") * 4 + v("c") * 3, c(8)},
+      {v("c") * 4 + 6, v("b") * 3},
+      {c(-2), v("b") + v("c") * 4},
+      {v("b") * 4 + v("c") * 2, c(4)},
+  };
+  ConstraintSystem CS;
+  for (const auto &[L, R] : Le)
+    CS.addLe(L, R);
+  EXPECT_TRUE(oracleRefutes(Le));
+  EXPECT_TRUE(CS.inconsistent());
+}
+
+// The same system with c joined to a1, which names the class: now the tie
+// is between b and a1, and a1 goes first. A class named by its first
+// interned member (c) would refute.
+TEST(ReferenceDifferential, ClassesAreNamedByTheirSmallestMember) {
+  std::vector<std::pair<AffineExpr, AffineExpr>> Le = {
+      {v("a") * 4 + v("c") * 3, c(8)},
+      {v("c") * 4 + 6, v("b") * 3},
+      {c(-2), v("b") + v("c") * 4},
+      {v("b") * 4 + v("c") * 2, c(4)},
+  };
+  ConstraintSystem CS;
+  for (const auto &[L, R] : Le)
+    CS.addLe(L, R);
+  CS.addEquality(v("c"), v("a1"));
+  std::vector<std::pair<AffineExpr, AffineExpr>> Canonical;
+  for (const auto &[L, R] : Le)
+    Canonical.push_back({L.rename("c", "a1"), R.rename("c", "a1")});
+  // The equality canonicalizes to the two rows 0 <= 0.
+  EXPECT_FALSE(oracleRefutes(Canonical, 2));
+  EXPECT_FALSE(CS.inconsistent());
+}
+
+// Eliminating x combines P = x + A*y with N = B*y - M*x. P * M alone puts
+// A*M = 2^49 past the cap, so the combination is dropped, although adding
+// N * 1 would bring y's coefficient back to 1 and, with 1 <= y, refute.
+TEST(ReferenceDifferential, CoefficientCapChecksTheScaledFirstRow) {
+  const int64_t A = int64_t(1) << 24, M = int64_t(1) << 25, B = 1 - M * A;
+  std::vector<std::pair<AffineExpr, AffineExpr>> Le = {
+      {v("x") + v("y") * A, c(0)},
+      {v("y") * B, v("x") * M},
+      {c(1), v("y")},
+  };
+  ConstraintSystem CS;
+  for (const auto &[L, R] : Le)
+    CS.addLe(L, R);
+  EXPECT_FALSE(oracleRefutes(Le));
+  EXPECT_FALSE(CS.inconsistent());
+}
+
+// Eliminating x scales x's own coefficients to 2^25 * 2^24 = 2^49, past
+// the cap; the combination is kept because x is skipped before any check,
+// and it refutes the system.
+TEST(ReferenceDifferential, CoefficientCapSkipsTheEliminatedVariable) {
+  std::vector<std::pair<AffineExpr, AffineExpr>> Le = {
+      {v("x") * (int64_t(1) << 25), v("y")},
+      {v("y") + 1, v("x") * (int64_t(1) << 24)},
+      {c(-1), v("y")},
+  };
+  ConstraintSystem CS;
+  for (const auto &[L, R] : Le)
+    CS.addLe(L, R);
+  EXPECT_TRUE(oracleRefutes(Le));
+  EXPECT_TRUE(CS.inconsistent());
+}
+
+//===----------------------------------------------------------------------===
+// Probe scopes: facts added between pushScope() and popScope() must leave
+// no trace, and the base rows cached before the scope must survive it.
+//===----------------------------------------------------------------------===
+
+TEST(ConstraintSystemScope, AliasProbeSharesTheBaseRows) {
+  ConstraintSystem CS;
+  CS.addLe(v("a"), v("b"));
+  CS.addFieldAlias("x", "p", "f");
+  EXPECT_FALSE(CS.inconsistent());
+  EXPECT_EQ(CS.rowBuilds(), 1u);
+  {
+    // A probe on a field no fact reads moves no earlier name to another
+    // class, so it answers from the rows already built.
+    ConstraintSystem::Scope Probe(CS);
+    CS.addFieldAlias("$probe", "q", "f");
+    EXPECT_FALSE(CS.equivVars("x", "$probe"));
+    EXPECT_EQ(CS.rowBuilds(), 1u);
+  }
+  {
+    // Joining x's class makes "$probe" its representative: the scope
+    // builds rows of its own.
+    ConstraintSystem::Scope Probe(CS);
+    CS.addFieldAlias("$probe", "p", "f");
+    EXPECT_TRUE(CS.equivVars("x", "$probe"));
+    EXPECT_TRUE(CS.proveLe(v("a"), v("b")));
+    EXPECT_EQ(CS.rowBuilds(), 2u);
+  }
+  // After the scope, the rows built before it answer again.
+  EXPECT_FALSE(CS.equivVars("x", "$probe"));
+  EXPECT_TRUE(CS.proveLe(v("a"), v("b")));
+  EXPECT_FALSE(CS.proveLe(v("b"), v("a")));
+  EXPECT_EQ(CS.rowBuilds(), 2u);
+}
+
+TEST(ConstraintSystemScope, ProbeLeavesEveryAnswerAsNeverProbed) {
+  using Fact = std::function<void(ConstraintSystem &)>;
+  using Query = std::function<bool(ConstraintSystem &)>;
+  auto RandomFact = [](Rng &R, const std::string &X) -> Fact {
+    AffineExpr L = randomExpr(R), Rhs = randomExpr(R);
+    std::string Y = randomBase(R);
+    AffineExpr Index = R.chance(1, 2) ? c(0) : v("a");
+    switch (R.nextBelow(5)) {
+    case 0:
+      return [L, Rhs](ConstraintSystem &CS) { CS.addEquality(L, Rhs); };
+    case 1:
+      return [L, Rhs](ConstraintSystem &CS) { CS.addLe(L, Rhs); };
+    case 2:
+      return [L, Rhs](ConstraintSystem &CS) { CS.addNe(L, Rhs); };
+    case 3:
+      return [X, Y](ConstraintSystem &CS) { CS.addFieldAlias(X, Y, "f"); };
+    default:
+      return [X, Y, Index](ConstraintSystem &CS) {
+        CS.addArrayAlias(X, Y, Index);
+      };
+    }
+  };
+  auto RandomQuery = [](Rng &R) -> Query {
+    AffineExpr L = randomExpr(R), Rhs = randomExpr(R);
+    std::string X = randomVar(R), Y = R.chance(1, 4) ? "$probe" : randomVar(R);
+    switch (R.nextBelow(6)) {
+    case 0:
+      return [L, Rhs](ConstraintSystem &CS) { return CS.proveLe(L, Rhs); };
+    case 1:
+      return [L, Rhs](ConstraintSystem &CS) { return CS.proveEq(L, Rhs); };
+    case 2:
+      return [L, Rhs](ConstraintSystem &CS) { return CS.proveNe(L, Rhs); };
+    case 3:
+      return [L](ConstraintSystem &CS) { return CS.proveCongruent(L, 2, 0); };
+    case 4:
+      return [X, Y](ConstraintSystem &CS) { return CS.equivVars(X, Y); };
+    default:
+      return [](ConstraintSystem &CS) { return CS.inconsistent(); };
+    }
+  };
+  unsigned Checked = 0;
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    Rng R(Seed);
+    std::vector<Fact> Facts;
+    for (int I = 0, N = static_cast<int>(R.nextInRange(2, 8)); I < N; ++I)
+      Facts.push_back(RandomFact(R, randomVar(R)));
+    std::vector<Query> Queries;
+    for (int I = 0; I < 12; ++I)
+      Queries.push_back(RandomQuery(R));
+    ConstraintSystem Probed, Fresh;
+    for (const Fact &F : Facts) {
+      F(Probed);
+      F(Fresh);
+    }
+    Probed.inconsistent(); // Builds the base rows before any scope.
+    for (int Round = 0; Round < 4; ++Round) {
+      std::vector<Fact> Extra{RandomFact(R, "$probe")};
+      if (R.chance(1, 3))
+        Extra.push_back(RandomFact(R, randomVar(R)));
+      {
+        ConstraintSystem::Scope Probe(Probed);
+        ConstraintSystem Copy;
+        for (const Fact &F : Facts)
+          F(Copy);
+        for (const Fact &F : Extra) {
+          F(Probed);
+          F(Copy);
+        }
+        // Inside the scope, the system answers as one with every fact.
+        for (const Query &Q : Queries)
+          ASSERT_EQ(Q(Probed), Q(Copy)) << "seed " << Seed;
+      }
+      uint64_t Builds = Probed.rowBuilds();
+      for (const Query &Q : Queries) {
+        ASSERT_EQ(Q(Probed), Q(Fresh)) << "seed " << Seed << " round "
+                                       << Round;
+        ++Checked;
+      }
+      // The rows built before the scope were kept, not rebuilt.
+      EXPECT_EQ(Probed.rowBuilds(), Builds) << "seed " << Seed;
     }
   }
   EXPECT_GT(Checked, 1000u);

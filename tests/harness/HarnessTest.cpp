@@ -157,34 +157,47 @@ TEST(Harness, GeomeanOverheadBehaves) {
   EXPECT_EQ(geomeanOverhead({}), 0.0);
 }
 
+namespace {
+/// Every option parseBenchArgs knows.
+constexpr std::string_view AllOptions[] = {
+    "--small",        "--iters",         "--seed",
+    "--jobs",         "--record-dir",    "--workload",
+    "--async-detect", "--detect-shards", "--no-check-filter"};
+} // namespace
+
 TEST(Harness, BenchArgsParsing) {
   const char *Argv[] = {"prog", "--small", "--iters=7", "--seed=42",
                         "--jobs=3"};
-  BenchArgs Args = parseBenchArgs(5, const_cast<char **>(Argv));
+  BenchArgs Args = parseBenchArgs(5, const_cast<char **>(Argv), AllOptions);
   EXPECT_EQ(Args.Scale, SuiteScale::Test);
   EXPECT_EQ(Args.Opts.Iterations, 7);
   EXPECT_EQ(Args.Opts.Seed, 42u);
   EXPECT_EQ(Args.Opts.Jobs, 3u);
-  BenchArgs Defaults = parseBenchArgs(1, const_cast<char **>(Argv));
+  BenchArgs Defaults =
+      parseBenchArgs(1, const_cast<char **>(Argv), AllOptions);
   EXPECT_EQ(Defaults.Scale, SuiteScale::Bench);
   EXPECT_EQ(Defaults.Opts.Jobs, 0u);
   // --iters=0 is a legitimate counters-only request, not clamped.
   const char *Zero[] = {"prog", "--iters=0"};
-  EXPECT_EQ(parseBenchArgs(2, const_cast<char **>(Zero)).Opts.Iterations, 0);
+  EXPECT_EQ(
+      parseBenchArgs(2, const_cast<char **>(Zero), AllOptions).Opts.Iterations,
+      0);
   // --record-dir= captures the trace directory.
   EXPECT_TRUE(Defaults.Opts.RecordDir.empty());
   const char *Record[] = {"prog", "--record-dir=/tmp/traces"};
-  EXPECT_EQ(parseBenchArgs(2, const_cast<char **>(Record)).Opts.RecordDir,
-            "/tmp/traces");
+  EXPECT_EQ(
+      parseBenchArgs(2, const_cast<char **>(Record), AllOptions).Opts.RecordDir,
+      "/tmp/traces");
   // Async detection: off by default, --async-detect enables.
   EXPECT_FALSE(Defaults.Opts.AsyncDetect);
   const char *Async[] = {"prog", "--async-detect"};
-  EXPECT_TRUE(parseBenchArgs(2, const_cast<char **>(Async)).Opts.AsyncDetect);
+  BenchArgs A = parseBenchArgs(2, const_cast<char **>(Async), AllOptions);
+  EXPECT_TRUE(A.Opts.AsyncDetect);
   // The other detection flags go through the same parser as the CLI's.
   EXPECT_EQ(Defaults.Opts.DetectShards, 0u);
   EXPECT_TRUE(Defaults.Opts.CheckFilter);
   const char *Detect[] = {"prog", "--detect-shards=64", "--no-check-filter"};
-  BenchArgs D = parseBenchArgs(3, const_cast<char **>(Detect));
+  BenchArgs D = parseBenchArgs(3, const_cast<char **>(Detect), AllOptions);
   EXPECT_EQ(D.Opts.DetectShards, 64u);
   EXPECT_FALSE(D.Opts.CheckFilter);
   EXPECT_FALSE(D.Opts.AsyncDetect);
@@ -195,13 +208,13 @@ TEST(Harness, BenchArgsParsing) {
 TEST(Harness, BenchArgsRejectMalformedNumbers) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const char *TooMany[] = {"prog", "--detect-shards=65"};
-  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(TooMany)),
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(TooMany), AllOptions),
               testing::ExitedWithCode(1), "expects an integer");
   const char *Negative[] = {"prog", "--detect-shards=-1"};
-  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(Negative)),
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(Negative), AllOptions),
               testing::ExitedWithCode(1), "expects an integer");
   const char *NotANumber[] = {"prog", "--iters=abc"};
-  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(NotANumber)),
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(NotANumber), AllOptions),
               testing::ExitedWithCode(1), "expects an integer");
 }
 
@@ -212,17 +225,40 @@ TEST(Harness, BenchArgsRejectMalformedNumbers) {
 TEST(Harness, BenchArgsRejectUnknownOptions) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const char *Ast[] = {"prog", "--small", "--ast"};
-  EXPECT_EXIT(parseBenchArgs(3, const_cast<char **>(Ast)),
+  EXPECT_EXIT(parseBenchArgs(3, const_cast<char **>(Ast), AllOptions),
               testing::ExitedWithCode(1), "unknown option '--ast'");
   const char *NoReplay[] = {"prog", "--no-replay"};
-  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(NoReplay)),
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(NoReplay), AllOptions),
               testing::ExitedWithCode(1), "unknown option '--no-replay'");
   const char *Replay[] = {"prog", "--replay"};
-  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(Replay)),
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(Replay), AllOptions),
               testing::ExitedWithCode(1), "unknown option '--replay'");
   const char *Typo[] = {"prog", "--iter=3"};
-  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(Typo)),
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(Typo), AllOptions),
               testing::ExitedWithCode(1), "unknown option '--iter=3'");
+}
+
+// A bench names the options it honours; any other known option exits,
+// so that, say, --record-dir on a bench that records nothing does not
+// pass silently.
+TEST(Harness, BenchArgsRejectOptionsTheBenchIgnores) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  constexpr std::string_view Takes[] = {"--small", "--iters", "--seed"};
+  const char *Ok[] = {"bench/bench_x", "--small", "--iters=2", "--seed=5"};
+  BenchArgs Args = parseBenchArgs(4, const_cast<char **>(Ok), Takes);
+  EXPECT_EQ(Args.Opts.Iterations, 2);
+  const char *Record[] = {"bench/bench_x", "--record-dir=zz"};
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(Record), Takes),
+              testing::ExitedWithCode(1),
+              "bench_x does not take option '--record-dir=zz'");
+  const char *Async[] = {"bench_x", "--small", "--async-detect"};
+  EXPECT_EXIT(parseBenchArgs(3, const_cast<char **>(Async), Takes),
+              testing::ExitedWithCode(1),
+              "bench_x does not take option '--async-detect'");
+  const char *Workload[] = {"bench_x", "--workload=fop"};
+  EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(Workload), Takes),
+              testing::ExitedWithCode(1),
+              "bench_x does not take option '--workload=fop'");
 }
 
 TEST(TablePrinterTest, AlignsColumnsAndHeaderRule) {
